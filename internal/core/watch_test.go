@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -43,6 +44,15 @@ func TestWatchdogCommitterStallIntegration(t *testing.T) {
 		t.Fatalf("stalled committer already durable: epoch %d durable %d", db.Epoch(), db.DurableEpoch())
 	}
 
+	// Wait for the committer to reach the stalled epoch's persist-final
+	// fence. The engine records the EvFence just before issuing it, so from
+	// here on the committer is inside (or about to enter) the stall. Yield
+	// rather than sleep: at GOMAXPROCS=1 the committer runs only when this
+	// goroutine gives up the CPU.
+	for stalledEpoch := db.Epoch(); !persistFinalFenced(o, stalledEpoch); {
+		runtime.Gosched()
+	}
+
 	// Drive the watchdog with a synthetic 3s gap while the committer is
 	// mid-stall: the real window is the stall duration, the detector math
 	// sees a 3s-old durable epoch.
@@ -62,8 +72,11 @@ func TestWatchdogCommitterStallIntegration(t *testing.T) {
 	}
 
 	// Let the committer drain and confirm nothing was lost to the stall.
-	dev.SetCommitStall(0)
+	// Disarm only after the drain: the device reads the stall when a fence
+	// runs, so a persist-final fence issued after the disarm would not be
+	// stalled at all.
 	db.WaitDurable()
+	dev.SetCommitStall(0)
 	if elapsed := time.Since(start); elapsed < stall {
 		t.Fatalf("commit stall not charged: epoch drained in %v < %v", elapsed, stall)
 	}
@@ -129,6 +142,17 @@ func TestWatchdogCommitterStallIntegration(t *testing.T) {
 	if lagged == 0 {
 		t.Fatalf("durable-lag distribution never left bucket 0: %v", lag)
 	}
+}
+
+// persistFinalFenced reports whether the flight recorder holds the
+// persist-final EvFence of epoch.
+func persistFinalFenced(o *obs.Obs, epoch uint64) bool {
+	for _, e := range o.Flight().Events(0) {
+		if e.Type == obs.EvFence && e.Epoch == epoch && e.A == int64(obs.CausePersistFinal) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestTxnLifecycleBreakdownIntegration runs observed epochs with 1-in-1

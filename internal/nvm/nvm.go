@@ -255,9 +255,12 @@ type Device struct {
 	failAfter atomic.Int64
 
 	// commitStall, when positive, adds that many nanoseconds of spin to
-	// every fence tagged CausePersistFinal — the checkpoint fence — without
-	// touching any other fence. A stall fail-point for the anomaly watchdog:
-	// the committer slows, durable lag persists, and nothing crashes.
+	// every fence tagged CausePersistFinal without touching any other fence.
+	// An engine commit issues two such fences (the checkpoint fence and the
+	// epoch record's persist), so each commit is stalled twice; in the Zen
+	// baseline every per-transaction commit fence is stalled. Read when the
+	// fence runs. A stall fail-point for the anomaly watchdog: the committer
+	// slows, durable lag persists, and nothing crashes.
 	commitStall atomic.Int64
 
 	// Chaos eviction state (see WithChaosEviction).
@@ -943,11 +946,16 @@ func (d *Device) Crash(mode CrashMode, seed int64) {
 func (d *Device) SetFailAfter(n int64) { d.failAfter.Store(n) }
 
 // SetCommitStall is a runtime fault-injection knob: every subsequent fence
-// tagged CausePersistFinal (the epoch's checkpoint fence) spins an extra d
-// on top of the configured fence latency, while all other fences run at
-// normal speed. It slows the committer without crashing anything, so the
-// durable epoch lags and the anomaly watchdog's committer-stall and
-// durable-lag detectors can be exercised deterministically. Zero disables.
+// tagged CausePersistFinal spins an extra d on top of the configured fence
+// latency, while all other fences run at normal speed. An engine epoch
+// commit issues two such fences — the checkpoint fence and the epoch
+// record's persist (pmem.EpochRecord.Store) — so it is stalled by 2*d; in
+// the Zen baseline every per-transaction commit fence is stalled. It slows
+// the committer without crashing anything, so the durable epoch lags and
+// the anomaly watchdog's committer-stall and durable-lag detectors can be
+// exercised deterministically. The value is read when a fence runs, not
+// when it is queued: a fence that starts after the stall is changed runs
+// at the new value. Zero disables.
 func (d *Device) SetCommitStall(stall time.Duration) { d.commitStall.Store(int64(stall)) }
 
 // Stats returns a snapshot of the cumulative access counters, folding the
