@@ -172,7 +172,7 @@ func (db *DB) RunEpochAria(batch []*AriaTxn) (AriaResult, error) {
 	res := AriaResult{Epoch: epoch}
 	ptask := db.opts.Prof.EpochTask(epoch)
 	defer ptask.End()
-	db.abortFlag.Store(false)
+	db.gate.reset()
 
 	for i, t := range batch {
 		t.sid = MakeSID(epoch, uint64(i+1))

@@ -84,9 +84,9 @@ type DB struct {
 	// reduces every instrumentation site to a nil check.
 	obs *obs.Obs
 
-	// abortFlag, when set by a panicking worker, breaks other workers out
-	// of version-array spin waits so the epoch unwinds instead of hanging.
-	abortFlag atomic.Bool
+	// gate parks workers waiting on pending version-array slots; a
+	// panicking worker unwinds it so the epoch unwinds instead of hanging.
+	gate waitGate
 
 	// Async-persist state (Options.AsyncPersist): persistWG tracks the
 	// in-flight commit of the previous epoch, persistPanic carries a panic
@@ -112,7 +112,7 @@ type DB struct {
 }
 
 // errEpochUnwound is the secondary panic raised by workers that were
-// spinning when a sibling worker panicked; parallel() reports the sibling's
+// waiting when a sibling worker panicked; parallel() reports the sibling's
 // original panic, not this one.
 var errEpochUnwound = fmt.Errorf("core: epoch unwound after sibling worker panic")
 
@@ -269,7 +269,7 @@ func (db *DB) RunEpoch(batch []*Txn) (EpochResult, error) {
 	res := EpochResult{Epoch: epoch}
 	ptask := db.opts.Prof.EpochTask(epoch)
 	defer ptask.End()
-	db.abortFlag.Store(false)
+	db.gate.reset()
 	db.obs.Flight().Record(obs.EvEpochStart, obs.CoordinatorCore, epoch, int64(len(batch)), 0)
 
 	// Assign serial ids in batch order: the predetermined serial order.
@@ -905,7 +905,7 @@ func (db *DB) buildVersionArray(epoch uint64, owner int, key index.Key, ops []in
 		}
 		sids = append(sids, op.sid)
 	}
-	va := newVersionArray(epoch, sids, &db.abortFlag)
+	va := newVersionArray(epoch, sids, &db.gate)
 
 	// Materialize the initial version (slot 0).
 	r := db.rowRef(rs.nvOff)
@@ -1026,7 +1026,7 @@ func (db *DB) parallel(f func(core int)) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					db.abortFlag.Store(true)
+					db.gate.unwind()
 					if r != errEpochUnwound {
 						v := r
 						panicked.CompareAndSwap(nil, &v)

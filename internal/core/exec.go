@@ -77,7 +77,7 @@ func (db *DB) write(c *Ctx, key index.Key, val []byte) {
 		td.WriteAt(val, off)
 		td.Flush(off, int64(len(val)))
 	}
-	va.vals[slot].Store(vv)
+	va.publish(slot, vv)
 
 	if isFinal {
 		db.finalize(c.core, rs, va, slot)
@@ -93,7 +93,7 @@ func (db *DB) writeDelete(c *Ctx, key index.Key) {
 	if a := db.obs.Attrib(); a != nil {
 		a.AddLogicalWrite(c.core, 0, 1) // a persist-all design still writes the descriptor
 	}
-	va.vals[slot].Store(deletedVal)
+	va.publish(slot, deletedVal)
 	if c.txn.sid == va.maxSID {
 		db.finalize(c.core, rs, va, slot)
 	} else {
@@ -108,7 +108,7 @@ func (db *DB) writeDelete(c *Ctx, key index.Key) {
 func (db *DB) writeIgnore(c *Ctx, key index.Key) {
 	rs, va := db.lookupVA(c, key)
 	slot := va.slotOf(c.txn.sid)
-	va.vals[slot].Store(ignoreVal)
+	va.publish(slot, ignoreVal)
 	if c.txn.sid == va.maxSID {
 		db.finalize(c.core, rs, va, slot)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"nvcaracal/internal/nvm"
 	"nvcaracal/internal/obs"
@@ -285,6 +286,56 @@ func TestVALatestCommitted(t *testing.T) {
 	idx, vv := va.latestCommitted(2)
 	if idx != 1 || vv.kind != vkData {
 		t.Fatalf("latestCommitted = %d/%v", idx, vv.kind)
+	}
+}
+
+// waitParked blocks until n readers are parked on g.
+func waitParked(t *testing.T, g *waitGate, n int32) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for g.parked.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d readers parked, want %d", g.parked.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestVAWaitParksUntilPublish(t *testing.T) {
+	g := &waitGate{}
+	va := newVersionArray(1, []uint64{0, 5, 9}, g)
+	va.vals[0].Store(notFoundVal)
+	got := make(chan *versionVal)
+	go func() { got <- va.waitValue(2) }()
+	waitParked(t, g, 1)
+	// A publish of another slot wakes the reader, which parks again.
+	va.publish(1, ignoreVal)
+	waitParked(t, g, 1)
+	want := &versionVal{kind: vkData, data: []byte("v9"), nvOff: -1}
+	va.publish(2, want)
+	if v := <-got; v != want {
+		t.Fatalf("waitValue returned %v, want the published value", v)
+	}
+	waitParked(t, g, 0)
+}
+
+func TestVAWaitUnwinds(t *testing.T) {
+	g := &waitGate{}
+	va := newVersionArray(1, []uint64{0, 5}, g)
+	recovered := make(chan any)
+	go func() {
+		defer func() { recovered <- recover() }()
+		va.waitValue(1)
+	}()
+	waitParked(t, g, 1)
+	g.unwind()
+	if r := <-recovered; r != errEpochUnwound {
+		t.Fatalf("parked reader unwound with %v, want errEpochUnwound", r)
+	}
+	g.reset()
+	va.publish(1, deletedVal)
+	if v := va.waitValue(1); v != deletedVal {
+		t.Fatalf("waitValue after reset = %v", v)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -45,30 +46,31 @@ var (
 // entering the epoch), and the remaining slots are the pending versions
 // pre-created by the initialization phase. Writers publish values into
 // their pre-assigned slot with an atomic store; readers binary-search for
-// the latest version below their own serial id and spin while it is
-// pending (nil).
+// the latest version below their own serial id and wait while it is
+// pending (nil): a short spin, then a park on the DB's waitGate.
 type versionArray struct {
 	epoch  uint64
 	sids   []uint64 // ascending; sids[0] == 0 is the initial version
 	vals   []atomic.Pointer[versionVal]
 	maxSID uint64 // sids[len-1]: the final writer, which persists to NVMM
 
-	// abort, shared from the DB, breaks spin waits when a sibling worker
-	// panicked (e.g. an injected crash) so the epoch can unwind.
-	abort *atomic.Bool
+	// gate, shared from the DB, parks readers of pending slots and breaks
+	// their waits when a sibling worker panicked (e.g. an injected crash)
+	// so the epoch can unwind. Nil (unit tests) spins without parking.
+	gate *waitGate
 
 	// wasCached notes that the row had a cached version entering this
 	// epoch; with CacheHotOnly it marks the row as worth re-caching.
 	wasCached bool
 }
 
-func newVersionArray(epoch uint64, sids []uint64, abort *atomic.Bool) *versionArray {
+func newVersionArray(epoch uint64, sids []uint64, gate *waitGate) *versionArray {
 	va := &versionArray{
 		epoch:  epoch,
 		sids:   sids,
 		vals:   make([]atomic.Pointer[versionVal], len(sids)),
 		maxSID: sids[len(sids)-1],
-		abort:  abort,
+		gate:   gate,
 	}
 	return va
 }
@@ -108,7 +110,75 @@ func (va *versionArray) readSlot(sid uint64) int {
 	return ans
 }
 
-// waitValue spins until slot i is published, then returns it. The
+// waitGate is the DB-wide rendezvous for pending version slots. A reader
+// whose writer has not published yet spins briefly (the common case: the
+// writer runs on another core and publishes within microseconds), then
+// parks on the gate until some slot is published or the epoch unwinds.
+// Parking matters when the machine has more runnable threads than CPUs:
+// runtime.Gosched yields only to goroutines of this process, so a reader
+// that only yields keeps its OS thread busy for whole scheduler time
+// slices while the thread of the writer it waits on is descheduled, and
+// every dependent transaction crawls. Publishers pay one atomic load while
+// nobody is parked.
+type waitGate struct {
+	abort  atomic.Bool
+	parked atomic.Int32
+	mu     sync.Mutex
+	wake   chan struct{} // closed to release every parked reader; nil when none
+}
+
+// reset re-arms the gate for a new epoch.
+func (g *waitGate) reset() { g.abort.Store(false) }
+
+// unwind breaks every wait of the current epoch: waiters panic with
+// errEpochUnwound.
+func (g *waitGate) unwind() {
+	g.abort.Store(true)
+	g.release()
+}
+
+// release wakes every parked reader; each re-checks its slot.
+func (g *waitGate) release() {
+	g.mu.Lock()
+	if g.wake != nil {
+		close(g.wake)
+		g.wake = nil
+	}
+	g.mu.Unlock()
+}
+
+// park blocks until the gate is released, unless ready already holds once
+// the caller is registered as parked. The registration precedes the check
+// and a publisher's store precedes its look at parked, so either the
+// check sees the published slot or the publisher sees the parked reader
+// and releases the channel taken here.
+func (g *waitGate) park(ready func() bool) {
+	g.parked.Add(1)
+	g.mu.Lock()
+	if g.wake == nil {
+		g.wake = make(chan struct{})
+	}
+	ch := g.wake
+	g.mu.Unlock()
+	if !ready() {
+		<-ch
+	}
+	g.parked.Add(-1)
+}
+
+// spinBeforePark bounds a reader's spin on a pending slot: 64 tight
+// iterations, then runtime.Gosched until the budget is spent.
+const spinBeforePark = 256
+
+// publish stores v into slot i and wakes readers parked on the gate.
+func (va *versionArray) publish(i int, v *versionVal) {
+	va.vals[i].Store(v)
+	if g := va.gate; g != nil && g.parked.Load() > 0 {
+		g.release()
+	}
+}
+
+// waitValue waits until slot i is published, then returns it. The
 // deterministic serial order guarantees progress: a reader only ever waits
 // on smaller serial ids, and the smallest unfinished transaction never
 // waits (see engine.go's worker assignment).
@@ -120,10 +190,15 @@ func (va *versionArray) waitValue(i int) *versionVal {
 		if spins < 64 {
 			continue
 		}
-		if va.abort != nil && va.abort.Load() {
+		g := va.gate
+		if g != nil && g.abort.Load() {
 			panic(errEpochUnwound)
 		}
-		runtime.Gosched()
+		if g == nil || spins < spinBeforePark {
+			runtime.Gosched()
+			continue
+		}
+		g.park(func() bool { return va.vals[i].Load() != nil || g.abort.Load() })
 	}
 }
 
