@@ -99,11 +99,11 @@ func (db *DB) logicalDigest(h *fnv64a) {
 	var sum, xor, count uint64
 	db.idx.Range(func(k index.Key, rs *rowState) bool {
 		r := db.rowRef(rs.nvOff)
+		h := r.header()
 		rh := fnvOffset64
 		rh.u32(k.Table)
 		rh.u64(k.ID)
-		for _, which := range [2]int{1, 2} {
-			v := r.readVersion(which)
+		for _, v := range [2]version{h.v1, h.v2} {
 			rh.u64(v.sid)
 			rh.u32(v.size)
 			if !v.isNull() && v.size > 0 {
@@ -196,7 +196,8 @@ func (db *DB) CheckInvariants() error {
 				continue
 			}
 			r := db.rowRef(off)
-			key := index.Key{Table: r.table(), ID: r.key()}
+			h := r.header()
+			key := h.indexKey()
 			rs, ok := db.idx.Get(key)
 			if !ok {
 				return fmt.Errorf("row leak: live slot %d (key %v) not in index", off, key)
@@ -206,7 +207,7 @@ func (db *DB) CheckInvariants() error {
 					key, rs.nvOff, off)
 			}
 			live[off] = key
-			if err := db.checkRowVersions(r, key, refs, valFree); err != nil {
+			if err := db.checkRowVersions(r, h, key, refs, valFree); err != nil {
 				return err
 			}
 		}
@@ -241,9 +242,8 @@ func (db *DB) CheckInvariants() error {
 
 // checkRowVersions validates one live row's descriptor pair and records
 // its value references in refs.
-func (db *DB) checkRowVersions(r rowRef, key index.Key, refs map[int64]int, valFree map[int64]struct{}) error {
-	v1 := r.readVersion(1)
-	v2 := r.readVersion(2)
+func (db *DB) checkRowVersions(r rowRef, h rowHeader, key index.Key, refs map[int64]int, valFree map[int64]struct{}) error {
+	v1, v2 := h.v1, h.v2
 	if !v1.isNull() && !v2.isNull() {
 		if v1.sid >= v2.sid {
 			return fmt.Errorf("row %v: version order violated: v1.sid=%d >= v2.sid=%d (an interrupted collection was not completed)",
@@ -253,8 +253,8 @@ func (db *DB) checkRowVersions(r rowRef, key index.Key, refs map[int64]int, valF
 			return fmt.Errorf("row %v: both versions occupy inline slot %d", key, v1.ptr)
 		}
 	}
-	for _, which := range [2]int{1, 2} {
-		v := r.readVersion(which)
+	for i, v := range [2]version{v1, v2} {
+		which := i + 1
 		if v.isNull() {
 			if v.ptr != 0 || v.size != 0 {
 				return fmt.Errorf("row %v: null v%d has leftover ptr=%d size=%d (torn reset not repaired)",

@@ -202,9 +202,8 @@ func (db *DB) installCached(core int, rs *rowState, data []byte, epoch uint64) {
 // entry is removed at the epoch boundary so in-flight readers still
 // resolve.
 func (db *DB) dropRow(core int, rs *rowState) {
-	r := db.rowRefTag(rs.nvOff, obs.CausePersistFinal)
-	for _, which := range [2]int{1, 2} {
-		v := r.readVersion(which)
+	h := db.rowRefTag(rs.nvOff, obs.CausePersistFinal).header()
+	for _, v := range [2]version{h.v1, h.v2} {
 		if !v.isNull() && !v.isInline() && v.ptr != ptrNone {
 			db.freeValue(core, int64(v.ptr))
 		}
@@ -214,8 +213,7 @@ func (db *DB) dropRow(core int, rs *rowState) {
 		rs.cached.Store(nil)
 		db.met.At(core).CacheDrop(int64(len(cv.data)))
 	}
-	db.deferredIndexDeletes[core] = append(db.deferredIndexDeletes[core],
-		index.Key{Table: r.table(), ID: r.key()})
+	db.deferredIndexDeletes[core] = append(db.deferredIndexDeletes[core], h.indexKey())
 }
 
 // persistFinal writes the final version of a row into its persistent slot
@@ -233,8 +231,8 @@ func (db *DB) dropRow(core int, rs *rowState) {
 //     inline heap, otherwise in a slot from the core's value pool.
 func (db *DB) persistFinal(core int, rs *rowState, sid uint64, data []byte) {
 	r := db.rowRefTag(rs.nvOff, obs.CausePersistFinal)
-	v1 := r.readVersion(1)
-	v2 := r.readVersion(2)
+	h := r.header()
+	v1, v2 := h.v1, h.v2
 
 	replayOverwrite := v2.sid == sid
 	if !replayOverwrite && !v2.isNull() {
@@ -245,7 +243,7 @@ func (db *DB) persistFinal(core int, rs *rowState, sid uint64, data []byte) {
 			// major collector handles non-inline staleness during init.
 			if !v1.isInline() && v1.ptr != ptrNone {
 				panic(fmt.Sprintf("core: non-inline stale version reached the execution phase (row off=%d key=%d/%d v1{sid=%x ptr=%d} v2{sid=%x ptr=%d inline=%v} sid=%x)",
-					rs.nvOff, r.table(), r.key(), v1.sid, v1.ptr, v2.sid, v2.ptr, v2.isInline(), sid))
+					rs.nvOff, h.table, h.key, v1.sid, v1.ptr, v2.sid, v2.ptr, v2.isInline(), sid))
 			}
 			db.met.At(core).AddMinorGC()
 		}
@@ -287,8 +285,8 @@ func (db *DB) persistFinal(core int, rs *rowState, sid uint64, data []byte) {
 
 	// If the stale first version is non-inline, queue the row for the
 	// major collector; if the minor collector is disabled, all stale rows
-	// go to the major list (Figure 9's ablation).
-	v1 = r.readVersion(1)
+	// go to the major list (Figure 9's ablation). v1 is what the row's
+	// first descriptor holds now: writeFinal only stores v2.
 	if !v1.isNull() && v2ReplacedNeedsGC(v1, db.opts.MinorGCEnabled) {
 		db.gcPending[core] = append(db.gcPending[core], rs)
 	}

@@ -82,8 +82,7 @@ func (db *DB) majorGCBegin(epoch uint64) majorGCState {
 		// own staging token closes.
 		db.waitPoolStaged(owner)
 		for _, rs := range byOwner[owner] {
-			r := db.rowRefTag(rs.nvOff, obs.CauseMajorGC)
-			v1 := r.readVersion(1)
+			v1 := db.rowRefTag(rs.nvOff, obs.CauseMajorGC).header().v1
 			if v1.isNull() || v1.isInline() || v1.ptr == ptrNone {
 				continue // inline staleness frees nothing
 			}
@@ -112,7 +111,7 @@ func (db *DB) majorGCFinish(epoch uint64, st majorGCState) {
 	db.parallel(func(owner int) {
 		for _, rs := range st.byOwner[owner] {
 			r := db.rowRefTag(rs.nvOff, obs.CauseMajorGC)
-			v2 := r.readVersion(2)
+			v2 := r.header().v2
 			if v2.isNull() {
 				// Already collected (replay of a crashed collection that
 				// completed this row).

@@ -68,33 +68,33 @@ func attribGoldenCases() []attribGoldenCase {
 		{
 			name: "kv-nvcaracal-1core", cores: 1, mode: ModeNVCaracal, workload: goldenWorkload,
 			perCause: map[obs.Cause]obs.CauseCounts{
-				obs.CauseOther:        {LineReads: 3347, LineWrites: 56, BytesRead: 22925, BytesWritten: 448, Flushes: 56},
-				obs.CausePersistFinal: {LineReads: 6979, LineWrites: 4272, BytesRead: 46400, BytesWritten: 97393, Flushes: 2556, Fences: 14},
+				obs.CauseOther:        {LineReads: 805, LineWrites: 56, BytesRead: 51329, BytesWritten: 448, Flushes: 56},
+				obs.CausePersistFinal: {LineReads: 786, LineWrites: 4272, BytesRead: 50304, BytesWritten: 97393, Flushes: 2556, Fences: 14},
 				obs.CauseWALAppend:    {LineReads: 0, LineWrites: 1508, BytesRead: 0, BytesWritten: 96097, Flushes: 1508, Fences: 7},
 				obs.CauseMinorGC:      {LineReads: 0, LineWrites: 657, BytesRead: 0, BytesWritten: 4380, Flushes: 219},
-				obs.CauseMajorGC:      {LineReads: 666, LineWrites: 666, BytesRead: 4440, BytesWritten: 4440, Flushes: 222},
+				obs.CauseMajorGC:      {LineReads: 222, LineWrites: 666, BytesRead: 14208, BytesWritten: 4440, Flushes: 222},
 				obs.CauseAlloc:        {LineReads: 123, LineWrites: 734, BytesRead: 984, BytesWritten: 18416, Flushes: 307},
 			},
 		},
 		{
 			name: "kv-hybrid-2core", cores: 2, mode: ModeHybrid, workload: goldenWorkload,
 			perCause: map[obs.Cause]obs.CauseCounts{
-				obs.CauseOther:        {LineReads: 3347, LineWrites: 56, BytesRead: 22925, BytesWritten: 448, Flushes: 56},
-				obs.CausePersistFinal: {LineReads: 6979, LineWrites: 4272, BytesRead: 46400, BytesWritten: 97393, Flushes: 2556, Fences: 14},
+				obs.CauseOther:        {LineReads: 805, LineWrites: 56, BytesRead: 51329, BytesWritten: 448, Flushes: 56},
+				obs.CausePersistFinal: {LineReads: 786, LineWrites: 4272, BytesRead: 50304, BytesWritten: 97393, Flushes: 2556, Fences: 14},
 				obs.CauseIntermediate: {LineReads: 0, LineWrites: 912, BytesRead: 0, BytesWritten: 31942, Flushes: 912},
 				obs.CauseMinorGC:      {LineReads: 0, LineWrites: 657, BytesRead: 0, BytesWritten: 4380, Flushes: 219},
-				obs.CauseMajorGC:      {LineReads: 666, LineWrites: 666, BytesRead: 4440, BytesWritten: 4440, Flushes: 222, Fences: 5},
+				obs.CauseMajorGC:      {LineReads: 222, LineWrites: 666, BytesRead: 14208, BytesWritten: 4440, Flushes: 222, Fences: 5},
 				obs.CauseAlloc:        {LineReads: 123, LineWrites: 776, BytesRead: 984, BytesWritten: 18752, Flushes: 336},
 			},
 		},
 		{
 			name: "ycsb-nvcaracal-2core", cores: 2, mode: ModeNVCaracal, workload: ycsbGoldenWorkload,
 			perCause: map[obs.Cause]obs.CauseCounts{
-				obs.CauseOther:        {LineReads: 5496, LineWrites: 48, BytesRead: 37039, BytesWritten: 384, Flushes: 48},
-				obs.CausePersistFinal: {LineReads: 10575, LineWrites: 7227, BytesRead: 70500, BytesWritten: 169613, Flushes: 4291, Fences: 12},
+				obs.CauseOther:        {LineReads: 1184, LineWrites: 48, BytesRead: 75659, BytesWritten: 384, Flushes: 48},
+				obs.CausePersistFinal: {LineReads: 1175, LineWrites: 7227, BytesRead: 75200, BytesWritten: 169613, Flushes: 4291, Fences: 12},
 				obs.CauseWALAppend:    {LineReads: 0, LineWrites: 2652, BytesRead: 0, BytesWritten: 169273, Flushes: 2652, Fences: 6},
 				obs.CauseMinorGC:      {LineReads: 0, LineWrites: 684, BytesRead: 0, BytesWritten: 4560, Flushes: 228},
-				obs.CauseMajorGC:      {LineReads: 2616, LineWrites: 2616, BytesRead: 17440, BytesWritten: 17440, Flushes: 872},
+				obs.CauseMajorGC:      {LineReads: 872, LineWrites: 2616, BytesRead: 55808, BytesWritten: 17440, Flushes: 872},
 				obs.CauseAlloc:        {LineReads: 316, LineWrites: 1244, BytesRead: 2528, BytesWritten: 26752, Flushes: 438},
 			},
 		},

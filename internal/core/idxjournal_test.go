@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"nvcaracal/internal/index"
 	"nvcaracal/internal/nvm"
+	"nvcaracal/internal/pmem"
 )
 
 // testOptsJournal returns testOpts with the persistent index journal on.
@@ -313,4 +316,65 @@ func TestJournalDisabledDeviceRecoveredWithScan(t *testing.T) {
 		t.Fatal("no journal region but journal path used")
 	}
 	wantGet(t, db2, 1, []byte("v"))
+}
+
+// TestResolveGCRowsMatchesOrderedReplay checks the journal path's GC-list
+// resolution against applying every entry in journal order with a full
+// slot map, as recovery did before it rebuilt the index on all cores: a GC
+// entry resolves to the row whose put last claimed its slot, unless that
+// row's key was deleted in between. Random journals over few keys and
+// slots make reused slots and re-put keys common.
+func TestResolveGCRowsMatchesOrderedReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 2000; round++ {
+		entries := make([]pmem.IndexEntry, 1+rng.Intn(24))
+		puts := make([]*rowState, len(entries))
+		for i := range entries {
+			e := pmem.IndexEntry{Kind: []uint8{pmem.IdxPut, pmem.IdxDel, pmem.IdxGC}[rng.Intn(3)],
+				Table: 1, Key: uint64(rng.Intn(4)), RowOff: int64(64 * rng.Intn(4))}
+			if e.Kind == pmem.IdxPut {
+				puts[i] = &rowState{nvOff: e.RowOff}
+			}
+			entries[i] = e
+		}
+
+		var want []*rowState
+		idx := make(map[index.Key]*rowState)
+		slotOwner := make(map[int64]*rowState)
+		for i, e := range entries {
+			key := index.Key{Table: e.Table, ID: e.Key}
+			switch e.Kind {
+			case pmem.IdxPut:
+				idx[key] = puts[i]
+				slotOwner[e.RowOff] = puts[i]
+			case pmem.IdxDel:
+				if rs, ok := idx[key]; ok {
+					delete(slotOwner, rs.nvOff)
+				}
+				delete(idx, key)
+			case pmem.IdxGC:
+				if rs, ok := slotOwner[e.RowOff]; ok {
+					want = append(want, rs)
+				}
+			}
+		}
+
+		pending := pendingGCSlots(entries)
+		states := make([]*rowState, len(entries))
+		for i, e := range entries {
+			if _, ok := pending[e.RowOff]; ok {
+				states[i] = puts[i]
+			}
+		}
+		got := resolveGCRows(entries, states, pending)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: resolved %d GC rows, want %d (entries %+v)", round, len(got), len(want), entries)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: GC row %d resolved to slot %d, want slot %d (entries %+v)",
+					round, i, got[i].nvOff, want[i].nvOff, entries)
+			}
+		}
+	}
 }

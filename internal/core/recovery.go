@@ -184,15 +184,15 @@ func Recover(dev *nvm.Device, opts Options) (*DB, *RecoveryReport, error) {
 			}
 			r := db.rowRefTag(off, obs.CauseRecovery)
 			scanned++
-			if r.repair(crashed) {
+			h, fixed := r.repair(r.header(), crashed)
+			if fixed {
 				repaired++
 			}
-			key := index.Key{Table: r.table(), ID: r.key()}
+			key := h.indexKey()
 			rs := &rowState{nvOff: off, owner: int32(db.ownerOf(key))}
 			db.idx.Put(key, rs)
 
-			v1 := r.readVersion(1)
-			v2 := r.readVersion(2)
+			v1, v2 := h.v1, h.v2
 			if opts.RevertOnRecovery && !v2.isNull() && SIDEpoch(v2.sid) == crashed {
 				cands = append(cands, rs)
 				continue
@@ -286,43 +286,50 @@ func (db *DB) recoverIndexFromJournal(crashed uint64, batch []*Txn, rep *Recover
 		return nil, false
 	}
 	ckpt := crashed - 1
+	// Only the final checkpointed epoch's GC entries are pending: lists
+	// from earlier epochs were consumed by their successor.
 	var entries []pmem.IndexEntry
-	var epochs []uint64
+	read := 0
 	if !db.idxLog.Recover(ckpt, func(ep uint64, e pmem.IndexEntry) {
-		entries = append(entries, e)
-		epochs = append(epochs, ep)
+		read++
+		if e.Kind != pmem.IdxGC || ep == ckpt {
+			entries = append(entries, e)
+		}
 	}) {
 		return nil, false
 	}
-	// Apply in order. revMap resolves GC entries (which carry only a row
-	// offset) to the rowState that currently owns the slot.
-	revMap := make(map[int64]*rowState)
-	var gcRows []*rowState
-	for i, e := range entries {
-		switch e.Kind {
-		case pmem.IdxPut:
-			key := index.Key{Table: e.Table, ID: e.Key}
-			rs := &rowState{nvOff: e.RowOff, owner: int32(db.ownerOf(key))}
-			db.idx.Put(key, rs)
-			revMap[e.RowOff] = rs
-		case pmem.IdxDel:
-			key := index.Key{Table: e.Table, ID: e.Key}
-			if rs, ok := db.idx.Get(key); ok {
-				delete(revMap, rs.nvOff)
+	// Rebuild the index on every core at once, as the scan does: each core
+	// applies, in journal order, the puts and deletes of the keys it owns,
+	// so every key still sees its own entries in order. The rowStates of
+	// puts into slots with pending GC entries are kept for resolving them.
+	pending := pendingGCSlots(entries)
+	var states []*rowState
+	if len(pending) > 0 {
+		states = make([]*rowState, len(entries))
+	}
+	db.parallel(func(c int) {
+		for i, e := range entries {
+			if e.Kind == pmem.IdxGC {
+				continue
 			}
-			db.idx.Delete(key)
-		case pmem.IdxGC:
-			// Only the final checkpointed epoch's GC list is pending; lists
-			// from earlier epochs were consumed by their successor.
-			if epochs[i] == ckpt {
-				if rs, ok := revMap[e.RowOff]; ok {
-					gcRows = append(gcRows, rs)
-				}
+			key := index.Key{Table: e.Table, ID: e.Key}
+			if db.ownerOf(key) != c {
+				continue
+			}
+			if e.Kind == pmem.IdxDel {
+				db.idx.Delete(key)
+				continue
+			}
+			rs := &rowState{nvOff: e.RowOff, owner: int32(c)}
+			db.idx.Put(key, rs)
+			if _, ok := pending[e.RowOff]; ok {
+				states[i] = rs
 			}
 		}
-	}
+	})
+	gcRows := resolveGCRows(entries, states, pending)
 	rep.UsedIndexJournal = true
-	rep.JournalEntries = len(entries)
+	rep.JournalEntries = read
 
 	// Repair torn descriptors on every row the crashed epoch could have
 	// modified: the pending GC list (major-GC copies, §4.5 cases 1-2) and
@@ -331,14 +338,15 @@ func (db *DB) recoverIndexFromJournal(crashed uint64, batch []*Txn, rep *Recover
 	// executes before the input log is durable.
 	for _, rs := range gcRows {
 		r := db.rowRefTag(rs.nvOff, obs.CauseRecovery)
-		if r.repair(crashed) {
+		h, fixed := r.repair(r.header(), crashed)
+		if fixed {
 			rep.RowsRepaired++
 		}
 		// Re-queue only rows whose collection is still pending, under the
 		// same condition as the scan path: repair completes collections the
 		// crash interrupted mid-copy, and blindly re-queuing a completed row
 		// would free the value its surviving version references.
-		v1, v2 := r.readVersion(1), r.readVersion(2)
+		v1, v2 := h.v1, h.v2
 		if !v2.isNull() && SIDEpoch(v2.sid) != crashed && !v1.isNull() &&
 			v2ReplacedNeedsGC(v1, db.opts.MinorGCEnabled) {
 			db.gcPending[rs.owner] = append(db.gcPending[rs.owner], rs)
@@ -359,28 +367,68 @@ func (db *DB) recoverIndexFromJournal(crashed uint64, batch []*Txn, rep *Recover
 				continue // row created by the crashed epoch: reverted by the allocators
 			}
 			r := db.rowRefTag(rs.nvOff, obs.CauseRecovery)
-			if r.repair(crashed) {
+			h, fixed := r.repair(r.header(), crashed)
+			if fixed {
 				rep.RowsRepaired++
 			}
-			if db.opts.RevertOnRecovery {
-				v2 := r.readVersion(2)
-				if !v2.isNull() && SIDEpoch(v2.sid) == crashed {
-					reverts = append(reverts, rs)
-				}
+			if db.opts.RevertOnRecovery && !h.v2.isNull() && SIDEpoch(h.v2.sid) == crashed {
+				reverts = append(reverts, rs)
 			}
 		}
 	}
 	return reverts, true
 }
 
+// pendingGCSlots returns the row slots named by GC entries: the pending
+// major-GC list.
+func pendingGCSlots(entries []pmem.IndexEntry) map[int64]struct{} {
+	pending := make(map[int64]struct{})
+	for _, e := range entries {
+		if e.Kind == pmem.IdxGC {
+			pending[e.RowOff] = struct{}{}
+		}
+	}
+	return pending
+}
+
+// resolveGCRows resolves the pending GC entries, which carry only a row
+// offset, to rowStates, in journal order. An entry resolves to the rowState
+// whose put last claimed the slot before it, unless that row's key was
+// deleted in between. states holds the rowState of every put into a
+// pending slot.
+func resolveGCRows(entries []pmem.IndexEntry, states []*rowState, pending map[int64]struct{}) []*rowState {
+	if len(pending) == 0 {
+		return nil
+	}
+	slotOwner := make(map[int64]*rowState) // pending slot -> rowState
+	keyAt := make(map[index.Key]*rowState) // key -> its rowState, in a pending slot
+	var gcRows []*rowState
+	for i, e := range entries {
+		key := index.Key{Table: e.Table, ID: e.Key}
+		switch e.Kind {
+		case pmem.IdxPut:
+			if rs := states[i]; rs != nil {
+				slotOwner[e.RowOff] = rs
+				keyAt[key] = rs
+			} else {
+				delete(keyAt, key)
+			}
+		case pmem.IdxDel:
+			if rs, ok := keyAt[key]; ok {
+				delete(slotOwner, rs.nvOff)
+				delete(keyAt, key)
+			}
+		case pmem.IdxGC:
+			if rs, ok := slotOwner[e.RowOff]; ok {
+				gcRows = append(gcRows, rs)
+			}
+		}
+	}
+	return gcRows
+}
+
 // rowLatest resolves the latest committed persistent version of a row,
 // skipping versions written by the epoch currently being replayed: those
 // are un-fenced crashed-epoch data that the replay itself will overwrite,
 // and replayed reads must observe the checkpoint instead.
-func (db *DB) rowLatest(r rowRef) version {
-	v2 := r.readVersion(2)
-	if !v2.isNull() && SIDEpoch(v2.sid) != db.skipEpoch {
-		return v2
-	}
-	return r.readVersion(1)
-}
+func (db *DB) rowLatest(r rowRef) version { return r.header().latest(db.skipEpoch) }

@@ -289,7 +289,7 @@ func TestRecoveryRepairsTornDescriptors(t *testing.T) {
 	// complete the whole interrupted collection: v1 becomes v2's content
 	// AND v2 is reset, so the row cannot be re-queued for a second
 	// collection that would free the value v1 now references.
-	v2 := r.readVersion(2)
+	v2 := readVer(r, 2)
 	dev.Store64(r.verOff(1)+verSID, v2.sid)
 	dev.Persist(r.verOff(1), 8)
 	dev.Crash(nvm.CrashAll, 1)
@@ -300,7 +300,7 @@ func TestRecoveryRepairsTornDescriptors(t *testing.T) {
 	}
 	rs2, _ := db2.idx.Get(kvKey(1))
 	r2 := db2.rowRef(rs2.nvOff)
-	nv1, nv2 := r2.readVersion(1), r2.readVersion(2)
+	nv1, nv2 := readVer(r2, 1), readVer(r2, 2)
 	if nv1 != (version{sid: v2.sid, ptr: v2.ptr, size: v2.size}) {
 		t.Fatalf("case 1 copy not finished: v1=%+v want %+v", nv1, v2)
 	}
@@ -320,7 +320,7 @@ func TestRecoveryRepairsHalfResetV2(t *testing.T) {
 	rs, _ := db.idx.Get(kvKey(1))
 	r := db.rowRef(rs.nvOff)
 	// First make v1 := v2 (completed copy), then half-reset v2.
-	v2 := r.readVersion(2)
+	v2 := readVer(r, 2)
 	r.writeVersion(1, v2)
 	dev.Store64(r.verOff(2)+verSID, 0)
 	dev.Persist(rs.nvOff, 64)
@@ -332,7 +332,7 @@ func TestRecoveryRepairsHalfResetV2(t *testing.T) {
 	}
 	rs2, _ := db2.idx.Get(kvKey(1))
 	r2 := db2.rowRef(rs2.nvOff)
-	if nv2 := r2.readVersion(2); nv2.ptr != 0 || nv2.size != 0 {
+	if nv2 := readVer(r2, 2); nv2.ptr != 0 || nv2.size != 0 {
 		t.Fatalf("case 2 not repaired: %+v", nv2)
 	}
 	wantGet(t, db2, 1, []byte("v2data"))

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"nvcaracal/internal/index"
 	"nvcaracal/internal/nvm"
 	"nvcaracal/internal/obs"
 )
@@ -90,9 +91,6 @@ func (r rowRef) valueOff(v version) int64 {
 	return int64(v.ptr)
 }
 
-func (r rowRef) table() uint32 { return r.dev.Load32(r.off + rowHdrTable) }
-func (r rowRef) key() uint64   { return r.dev.Load64(r.off + rowHdrKey) }
-
 // writeHeader initializes a freshly allocated row: table, key, and both
 // version descriptors cleared (the slot may be recycled and hold stale
 // descriptors). One line store + flush; durability comes from the epoch
@@ -112,14 +110,44 @@ func (r rowRef) verOff(which int) int64 {
 	return r.off + rowV2
 }
 
-// readVersion loads version descriptor 1 or 2.
-func (r rowRef) readVersion(which int) version {
-	off := r.verOff(which)
-	return version{
-		sid:  r.dev.Load64(off + verSID),
-		ptr:  r.dev.Load64(off + verPtr),
-		size: r.dev.Load32(off + verSize),
+// rowHeader is the in-DRAM decoding of a row's header line.
+type rowHeader struct {
+	table  uint32
+	key    uint64
+	v1, v2 version
+}
+
+// header reads the row's header line with one device read and decodes it.
+// It is the only way the engine reads a row's table, key or descriptors:
+// the layout puts them all in one line so that a visit to a row costs one
+// line of NVMM traffic, and reading field by field would charge that line
+// once per field.
+func (r rowRef) header() rowHeader {
+	var line [rowInline]byte
+	r.dev.ReadAt(line[:], r.off)
+	return rowHeader{
+		table: getU32(line[rowHdrTable:]),
+		key:   getU64(line[rowHdrKey:]),
+		v1:    decodeVersion(line[rowV1:]),
+		v2:    decodeVersion(line[rowV2:]),
 	}
+}
+
+func decodeVersion(b []byte) version {
+	return version{sid: getU64(b[verSID:]), ptr: getU64(b[verPtr:]), size: getU32(b[verSize:])}
+}
+
+// indexKey returns the index key the header names.
+func (h rowHeader) indexKey() index.Key { return index.Key{Table: h.table, ID: h.key} }
+
+// latest returns the most recent version: v2 if present and not written by
+// epoch skip, else v1, which may itself be null for a row inserted but
+// never written. skip 0 matches no epoch.
+func (h rowHeader) latest(skip uint64) version {
+	if !h.v2.isNull() && SIDEpoch(h.v2.sid) != skip {
+		return h.v2
+	}
+	return h.v1
 }
 
 // persistOrderBroken, when set, reverses the SID-before-pointer store
@@ -174,15 +202,6 @@ func (r rowRef) writeVersion(which int, v version) {
 // seeing sid==0 with a leftover pointer).
 func (r rowRef) resetVersion(which int) {
 	r.writeVersion(which, version{})
-}
-
-// latest returns the most recent version: v2 if present, else v1, which
-// may itself be null for a row inserted but never written.
-func (r rowRef) latest() version {
-	if v2 := r.readVersion(2); !v2.isNull() {
-		return v2
-	}
-	return r.readVersion(1)
 }
 
 // readValue copies a version's data out of the device.
@@ -248,8 +267,9 @@ func freeInlineSlot(v version) uint64 {
 }
 
 // repair fixes torn version descriptors after a crash, implementing the
-// three situations of §4.5. crashedEpoch is the epoch that did not
-// checkpoint. It returns true if the row was modified.
+// three situations of §4.5. h is the row's header as read before the call;
+// crashedEpoch is the epoch that did not checkpoint. It returns the header
+// as repaired, and true if the row was modified.
 //
 //	Case 1: GC was collecting the row — matching sids mean the copy of v2
 //	        into v1 at least began — so complete the whole collection:
@@ -262,21 +282,22 @@ func freeInlineSlot(v version) uint64 {
 //	        finish the reset.
 //	Case 3: v2.sid belongs to the crashed epoch → left as is; the replayed
 //	        final write detects the match and overwrites the descriptor.
-func (r rowRef) repair(crashedEpoch uint64) bool {
-	v1 := r.readVersion(1)
-	v2 := r.readVersion(2)
+func (r rowRef) repair(h rowHeader, crashedEpoch uint64) (rowHeader, bool) {
+	v1, v2 := h.v1, h.v2
 	if !v1.isNull() && !v2.isNull() && v1.sid == v2.sid && SIDEpoch(v1.sid) != crashedEpoch {
-		if v1.ptr != v2.ptr || v1.size != v2.size {
-			r.writeVersion(1, version{sid: v2.sid, ptr: v2.ptr, size: v2.size})
+		if v1 != v2 {
+			r.writeVersion(1, v2)
 		}
 		r.resetVersion(2)
-		return true
+		h.v1, h.v2 = v2, version{}
+		return h, true
 	}
 	if v2.isNull() && (v2.ptr != 0 || v2.size != 0) {
 		r.resetVersion(2)
-		return true
+		h.v2 = version{}
+		return h, true
 	}
-	return false
+	return h, false
 }
 
 // revertCrashedVersion implements the TPC-C recovery variant (§6.2.3):
@@ -284,7 +305,7 @@ func (r rowRef) repair(crashedEpoch uint64) bool {
 // which may assign different keys — starts from the clean checkpoint.
 // Returns true if a version was reverted.
 func (r rowRef) revertCrashedVersion(crashedEpoch uint64) bool {
-	v2 := r.readVersion(2)
+	v2 := r.header().v2
 	if !v2.isNull() && SIDEpoch(v2.sid) == crashedEpoch {
 		r.resetVersion(2)
 		return true
@@ -310,4 +331,15 @@ func putU32(b []byte, v uint32) {
 	b[1] = byte(v >> 8)
 	b[2] = byte(v >> 16)
 	b[3] = byte(v >> 24)
+}
+
+func getU64(b []byte) uint64 {
+	_ = b[7]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+func getU32(b []byte) uint32 {
+	_ = b[3]
+	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -19,14 +19,15 @@ func newRowRef(t *testing.T, rowSize int64) (rowRef, *nvm.Device) {
 func TestRowHeaderRoundTrip(t *testing.T) {
 	r, _ := newRowRef(t, 256)
 	r.writeHeader(7, 0xDEADBEEF)
-	if r.table() != 7 || r.key() != 0xDEADBEEF {
-		t.Fatalf("header = %d/%d", r.table(), r.key())
+	h := r.header()
+	if h.table != 7 || h.key != 0xDEADBEEF {
+		t.Fatalf("header = %d/%d", h.table, h.key)
 	}
 	// Header write must clear stale version descriptors.
-	if v := r.readVersion(1); !v.isNull() || v.ptr != 0 {
+	if v := h.v1; !v.isNull() || v.ptr != 0 {
 		t.Fatalf("v1 not cleared: %+v", v)
 	}
-	if v := r.readVersion(2); !v.isNull() {
+	if v := h.v2; !v.isNull() {
 		t.Fatalf("v2 not cleared: %+v", v)
 	}
 }
@@ -35,16 +36,36 @@ func TestRowHeaderClearsRecycledSlot(t *testing.T) {
 	r, _ := newRowRef(t, 256)
 	r.writeVersion(2, version{sid: 99, ptr: 4096, size: 10})
 	r.writeHeader(1, 1)
-	if v := r.readVersion(2); !v.isNull() || v.ptr != 0 || v.size != 0 {
+	if v := readVer(r, 2); !v.isNull() || v.ptr != 0 || v.size != 0 {
 		t.Fatalf("recycled slot kept stale version: %+v", v)
 	}
+}
+
+// readVer returns descriptor 1 or 2 of the row's header.
+func readVer(r rowRef, which int) version {
+	h := r.header()
+	if which == 1 {
+		return h.v1
+	}
+	return h.v2
+}
+
+// repairRow runs repair on the row's current header and checks that the
+// header it returns is the one now on the device.
+func repairRow(t *testing.T, r rowRef, crashed uint64) bool {
+	t.Helper()
+	h, fixed := r.repair(r.header(), crashed)
+	if now := r.header(); h != now {
+		t.Fatalf("repair returned header %+v, device holds %+v", h, now)
+	}
+	return fixed
 }
 
 func TestVersionRoundTrip(t *testing.T) {
 	r, _ := newRowRef(t, 256)
 	want := version{sid: MakeSID(3, 7), ptr: ptrInlineB, size: 42}
 	r.writeVersion(2, want)
-	if got := r.readVersion(2); got != want {
+	if got := readVer(r, 2); got != want {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
 }
@@ -95,17 +116,17 @@ func TestFreeInlineSlot(t *testing.T) {
 func TestLatestPrefersV2(t *testing.T) {
 	r, _ := newRowRef(t, 256)
 	r.writeHeader(1, 1)
-	if !r.latest().isNull() {
+	if !r.header().latest(0).isNull() {
 		t.Fatal("fresh row has a latest version")
 	}
 	v1 := version{sid: MakeSID(1, 1), ptr: ptrInlineA, size: 4}
 	r.writeVersion(1, v1)
-	if r.latest() != v1 {
+	if r.header().latest(0) != v1 {
 		t.Fatal("latest != v1 when v2 empty")
 	}
 	v2 := version{sid: MakeSID(2, 1), ptr: ptrInlineB, size: 4}
 	r.writeVersion(2, v2)
-	if r.latest() != v2 {
+	if r.header().latest(0) != v2 {
 		t.Fatal("latest != v2")
 	}
 }
@@ -117,10 +138,10 @@ func TestRepairCase1FinishesGCCopy(t *testing.T) {
 	v2 := version{sid: MakeSID(4, 9), ptr: 8192, size: 100}
 	r.writeVersion(2, v2)
 	r.writeVersion(1, version{sid: v2.sid, ptr: ptrInlineA, size: 7}) // torn copy
-	if !r.repair(6) {
+	if !repairRow(t, r, 6) {
 		t.Fatal("repair did not fire")
 	}
-	if got := r.readVersion(1); got != v2 {
+	if got := readVer(r, 1); got != v2 {
 		t.Fatalf("v1 = %+v, want %+v", got, v2)
 	}
 }
@@ -131,7 +152,7 @@ func TestRepairCase1SkipsCrashedEpochSIDs(t *testing.T) {
 	sid := MakeSID(6, 1) // the crashed epoch itself
 	r.writeVersion(2, version{sid: sid, ptr: 8192, size: 10})
 	r.writeVersion(1, version{sid: sid, ptr: ptrInlineA, size: 7})
-	if r.repair(6) {
+	if repairRow(t, r, 6) {
 		t.Fatal("repair fired on crashed-epoch sids (case 3 belongs to replay)")
 	}
 }
@@ -144,10 +165,10 @@ func TestRepairCase2FinishesReset(t *testing.T) {
 	dev.Store64(r.verOff(2)+verSID, 0)
 	dev.Store64(r.verOff(2)+verPtr, 8192)
 	dev.Store32(r.verOff(2)+verSize, 55)
-	if !r.repair(6) {
+	if !repairRow(t, r, 6) {
 		t.Fatal("repair did not fire")
 	}
-	if got := r.readVersion(2); got.ptr != 0 || got.size != 0 {
+	if got := readVer(r, 2); got.ptr != 0 || got.size != 0 {
 		t.Fatalf("v2 not reset: %+v", got)
 	}
 }
@@ -157,7 +178,7 @@ func TestRepairNoopOnConsistentRows(t *testing.T) {
 	r.writeHeader(1, 1)
 	r.writeVersion(1, version{sid: MakeSID(2, 1), ptr: ptrInlineA, size: 4})
 	r.writeVersion(2, version{sid: MakeSID(3, 1), ptr: ptrInlineB, size: 4})
-	if r.repair(6) {
+	if repairRow(t, r, 6) {
 		t.Fatal("repair modified a consistent row")
 	}
 }
@@ -170,7 +191,7 @@ func TestRevertCrashedVersion(t *testing.T) {
 	if !r.revertCrashedVersion(6) {
 		t.Fatal("revert did not fire for crashed-epoch v2")
 	}
-	if !r.readVersion(2).isNull() {
+	if !readVer(r, 2).isNull() {
 		t.Fatal("v2 not reverted")
 	}
 	// Idempotent / selective.
@@ -208,7 +229,7 @@ func TestQuickVersionDescriptorRoundTrip(t *testing.T) {
 		}
 		want := version{sid: sid, ptr: ptr, size: size}
 		r.writeVersion(w, want)
-		return r.readVersion(w) == want
+		return readVer(r, w) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

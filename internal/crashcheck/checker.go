@@ -16,8 +16,8 @@ import (
 
 // Violation kinds.
 const (
-	KindRecoverError   = "recover-error"   // Recover returned an error or crashed unexpectedly
-	KindEpochError     = "epoch-error"     // the probe epoch failed for a non-crash reason
+	KindRecoverError   = "recover-error" // Recover returned an error or crashed unexpectedly
+	KindEpochError     = "epoch-error"   // the probe epoch failed for a non-crash reason
 	KindEpochLost      = "committed-epoch-lost"
 	KindDigestMismatch = "digest-mismatch" // lost committed data or resurrected uncommitted data
 	KindInvariant      = "invariant"       // structural invariant broken (see core.CheckInvariants)

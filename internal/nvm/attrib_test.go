@@ -152,7 +152,7 @@ func TestStatsUnchangedByAttrib(t *testing.T) {
 
 func TestAttribHeatmapSizedAtConstruction(t *testing.T) {
 	a := obs.NewAttrib(8)
-	d := New(8 * 64 * 64, WithAttrib(a)) // 512 lines -> 64 lines/bucket
+	d := New(8*64*64, WithAttrib(a)) // 512 lines -> 64 lines/bucket
 	d.Tag(obs.CauseOther).Store64(0, 1)
 	j := a.JSON()
 	if j.Heatmap.LinesPerBucket != 64 || len(j.Heatmap.BucketLineWrites) != 8 {

@@ -37,3 +37,12 @@ func BenchmarkStoreFlushFence(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFenceEmpty is the cost of a fence with nothing flushed since the
+// last one, latency model off: the simulator's own bookkeeping per fence.
+func BenchmarkFenceEmpty(b *testing.B) {
+	d := New(1 << 20)
+	for i := 0; i < b.N; i++ {
+		d.Fence()
+	}
+}

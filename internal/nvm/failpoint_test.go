@@ -157,7 +157,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	dev.WriteAt(bytes.Repeat([]byte{0x11}, LineSize), 0)
 	dev.Persist(0, LineSize)
 	dev.WriteAt(bytes.Repeat([]byte{0x22}, LineSize), LineSize)
-	dev.Flush(LineSize, LineSize) // staged, unfenced
+	dev.Flush(LineSize, LineSize)                                 // staged, unfenced
 	dev.WriteAt(bytes.Repeat([]byte{0x33}, LineSize), 2*LineSize) // dirty
 
 	snap := dev.Snapshot()

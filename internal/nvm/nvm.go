@@ -44,6 +44,7 @@ package nvm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,8 @@ const LineSize = 64
 
 // stripeCount is the number of journal stripes (and their locks) sharding
 // the flushed-line journals. Stores never take these locks; only Flush,
-// Fence, and chaos evictions do, and only for the stripe of the line.
+// Fence, and chaos evictions do, and only for the stripe of the line. At
+// most 64: Device.occupied keeps one bit per stripe.
 const stripeCount = 64
 
 // statStripes is the number of striped statistic cells.
@@ -104,10 +106,10 @@ var ErrInjectedCrash = errors.New("nvm: injected crash")
 // Stats holds cumulative access counters for a device. All counts are in
 // units of line accesses except the byte totals.
 type Stats struct {
-	LineReads    int64 // lines touched by loads
-	LineWrites   int64 // lines touched by stores
-	BytesRead    int64
-	BytesWritten int64
+	LineReads     int64 // lines touched by loads
+	LineWrites    int64 // lines touched by stores
+	BytesRead     int64
+	BytesWritten  int64
 	Flushes       int64 // line write-backs issued (dirty lines snapshotted)
 	FlushesElided int64 // lines a Flush visited but skipped because already clean
 	Fences        int64 // Fence calls
@@ -243,6 +245,14 @@ type Device struct {
 	state []atomic.Uint32
 
 	stripes [stripeCount]journalStripe
+
+	// occupied has bit i set while stripe i may hold journaled lines.
+	// flushLine sets a stripe's bit under the stripe lock when it journals
+	// a line; fence swaps the mask to zero and drains only the set stripes,
+	// so an empty fence takes no stripe lock. A bit may outlive its lines
+	// (a fence that drained the stripe after the bit was re-set), which
+	// costs the next fence one empty visit and nothing else.
+	occupied atomic.Uint64
 
 	readLatency  time.Duration
 	writeLatency time.Duration
@@ -780,6 +790,7 @@ func (d *Device) flushLine(l int64) bool {
 		if st.CompareAndSwap(s, s&^stDirty|stStaged|stJournaled) {
 			if s&stJournaled == 0 {
 				sp.lines = append(sp.lines, l)
+				d.markOccupied(l % stripeCount)
 			}
 			break
 		}
@@ -791,6 +802,20 @@ func (d *Device) flushLine(l int64) bool {
 	}
 	sp.mu.Unlock()
 	return true
+}
+
+// markOccupied sets stripe i's bit in the occupancy mask. The caller holds
+// the stripe's lock, so a fence that swaps the mask before this store
+// drains the stripe after the caller's journal append, and one that swaps
+// it after sees the bit.
+func (d *Device) markOccupied(i int64) {
+	bit := uint64(1) << i
+	for {
+		m := d.occupied.Load()
+		if m&bit != 0 || d.occupied.CompareAndSwap(m, m|bit) {
+			return
+		}
+	}
 }
 
 // Persist is Flush followed by Fence: the range is durable on return.
@@ -821,9 +846,10 @@ func (d *Device) persistRange(c obs.Cause, ranges ...Range) {
 
 // Fence commits every staged line snapshot to the durable image. It models
 // SFENCE on an ADR platform: previously issued write-backs are now in the
-// persistence domain. Only the journaled lines are visited — the cost is
-// proportional to the lines flushed since the last fence, not to the
-// device size or a fixed shard count.
+// persistence domain. Only the journal stripes that hold lines flushed
+// since the last fence are visited, so the cost is proportional to those
+// lines, not to the device size or the stripe count: a fence with nothing
+// flushed takes no stripe lock.
 func (d *Device) Fence() { d.fence(obs.CauseOther) }
 
 func (d *Device) fence(c obs.Cause) {
@@ -848,8 +874,8 @@ func (d *Device) fence(c obs.Cause) {
 		}
 	}
 	var committed int64
-	for i := range d.stripes {
-		sp := &d.stripes[i]
+	for mask := d.occupied.Swap(0); mask != 0; mask &= mask - 1 {
+		sp := &d.stripes[bits.TrailingZeros64(mask)]
 		sp.mu.Lock()
 		batch := sp.lines
 		sp.lines, sp.spare = sp.spare[:0], batch
@@ -925,6 +951,7 @@ func (d *Device) Crash(mode CrashMode, seed int64) {
 		sp.lines = sp.lines[:0]
 		sp.spare = sp.spare[:0]
 	}
+	d.occupied.Store(0)
 	copy(d.live, d.durable)
 	d.failAfter.Store(0)
 }

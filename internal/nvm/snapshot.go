@@ -95,13 +95,18 @@ func (d *Device) Restore(s *Snapshot) {
 	for l := range d.state {
 		d.state[l].Store(s.state[l])
 	}
+	var occupied uint64
 	for i := range d.stripes {
 		sp := &d.stripes[i]
 		sp.mu.Lock()
 		sp.lines = append(sp.lines[:0], s.journals[i]...)
 		sp.spare = sp.spare[:0]
 		sp.mu.Unlock()
+		if len(sp.lines) > 0 {
+			occupied |= 1 << i
+		}
 	}
+	d.occupied.Store(occupied)
 	for i := range d.cells {
 		c := &d.cells[i]
 		c.lineReads.Store(s.cells[i][0])

@@ -78,7 +78,7 @@ func TestAttribPerCauseCounts(t *testing.T) {
 
 func TestAttribHeatmapBuckets(t *testing.T) {
 	a := NewAttrib(4)
-	a.InitSpace(16) // 4 lines per bucket
+	a.InitSpace(16)                       // 4 lines per bucket
 	a.RecordWrite(CauseOther, 0, 2, 128)  // bucket 0
 	a.RecordWrite(CauseOther, 5, 1, 64)   // bucket 1
 	a.RecordWrite(CauseOther, 3, 2, 128)  // crosses buckets 0/1: split exactly

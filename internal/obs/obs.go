@@ -67,11 +67,11 @@ type Obs struct {
 	// /metrics scrapes.
 	startNS atomic.Int64
 	txn     *Hist // per-transaction execution latency
-	epoch  *Hist // epoch end-to-end latency
-	phases [NumPhases]*Hist
-	tracer *Tracer
-	dev    *DeviceObs
-	attrib *Attrib
+	epoch   *Hist // epoch end-to-end latency
+	phases  [NumPhases]*Hist
+	tracer  *Tracer
+	dev     *DeviceObs
+	attrib  *Attrib
 
 	// flight is the always-on event recorder; txns the sampled lifecycle
 	// tracer (nil unless Config.TxnTrace); watchCfg the armed-but-idle
