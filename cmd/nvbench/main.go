@@ -57,7 +57,7 @@ func main() {
 		devOps    = flag.Int("device-ops", 200000, "device-bench iterations per core")
 		obsBench  = flag.String("obs-bench", "", "run the observed phase-breakdown cells and write BENCH_obs.json-style output to this file (skips experiments)")
 		attrBench = flag.String("attrib-bench", "", "run the NVMM access-attribution cells (dual-version vs persist-every-write) and write BENCH_attrib.json-style output to this file (skips experiments)")
-		pipeBench = flag.String("pipeline-bench", "", "run the serial/async/pipeline epoch-commit sweep and write BENCH_pipeline.json-style output to this file (skips experiments)")
+		pipeBench = flag.String("pipeline-bench", "", "run the serial/pipeline epoch-commit sweep and write BENCH_pipeline.json-style output to this file (skips experiments)")
 
 		checkRegress   = flag.Bool("check-regress", false, "re-run the committed bench baselines and compare with noise-aware tolerance bands (skips experiments; exit 1 on a gating regression)")
 		regressRepeats = flag.Int("regress-repeats", 3, "repeats per report for -check-regress; the per-metric median is compared")

@@ -44,7 +44,6 @@ func main() {
 		mode       = flag.String("mode", "nvcaracal", "nvcaracal, no-logging, hybrid, all-nvmm, all-dram")
 		epochTxns  = flag.Int("epoch-txns", 1000, "transactions per epoch")
 		epochs     = flag.Int("epochs", 5, "measured epochs")
-		asyncP     = flag.Bool("async-persist", false, "overlap the epoch-commit tail (checkpoint fence, epoch record) with the next epoch's work")
 		pipeline   = flag.Bool("pipeline", false, "depth-1 epoch pipeline: overlap the entire checkpoint (staging, counters, fence, record) with the next epoch")
 		cores      = flag.Int("cores", 0, "worker cores (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "workload RNG seed")
@@ -80,7 +79,6 @@ func main() {
 	cfg := nvcaracal.Config{
 		Cores:            *cores,
 		Mode:             storageMode,
-		AsyncPersist:     *asyncP,
 		Pipeline:         *pipeline,
 		NVMMReadLatency:  *readLat,
 		NVMMWriteLatency: *writeLat,
@@ -304,9 +302,8 @@ func main() {
 		}
 	}
 
-	// With -async-persist the last epoch's commit tail may still be in
-	// flight; drain it so the reported device stats are final (no-op when
-	// synchronous).
+	// With -pipeline the last epoch's commit may still be in flight; drain
+	// it so the reported device stats are final (no-op otherwise).
 	db.WaitDurable()
 	if len(profFiles) > 0 {
 		pr.StopCPU()

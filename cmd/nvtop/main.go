@@ -31,11 +31,10 @@
 // txn-lifecycle endpoint (/txns span counts must be consistent with the
 // txn-exec histogram totals at the advertised sampling rate), and the
 // Prometheus endpoint (/metrics must golden-parse as text exposition with
-// the core families present). The selfcheck expects an engine running an
-// asynchronous commit mode (nvload -pipeline or -async-persist): the
-// committer's "commit" phase must be populated alongside the four epoch
-// phases. The CI observability smoke runs exactly this against a pipelined
-// nvload.
+// the core families present). The selfcheck expects an engine running the
+// epoch pipeline (nvload -pipeline): the background committer's "commit"
+// phase must be populated alongside the four epoch phases. The CI
+// observability smoke runs exactly this against a pipelined nvload.
 package main
 
 import (
@@ -150,9 +149,8 @@ func report(w io.Writer, cur obs.StatsPayload, prev *obs.StatsPayload) {
 		row("  "+name, cur.Phases[name], prevOr(prev).Phases[name])
 	}
 	// Durable lag: epochs completed while the previous epoch's commit was
-	// still in flight. All-zero (and omitted) unless an async or pipelined
-	// commit mode ran; a lag beyond 1 should never appear with the depth-1
-	// pipeline.
+	// still in flight. All-zero (and omitted) unless the pipeline ran; a
+	// lag beyond 1 should never appear with the depth-1 pipeline.
 	if lag := diffLag(cur.DurableLag, prevOr(prev).DurableLag); lagTotal(lag) > 0 {
 		fmt.Fprintf(w, "%-12s %10d ", "durable-lag", lagTotal(lag))
 		for i, n := range lag {

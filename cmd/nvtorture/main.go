@@ -54,7 +54,6 @@ func main() {
 		minorGC   = flag.Bool("minor-gc", true, "enable minor GC")
 		chaos     = flag.Int("chaos-denom", -1, "chaos cache-eviction denominator, 0 disables (-1 = default)")
 		pIndex    = flag.Bool("persist-index", false, "persist the index via the index journal")
-		asyncP    = flag.Bool("async-persist", false, "run the epoch-commit tail on a background goroutine")
 		pipeline  = flag.Bool("pipeline", false, "depth-1 epoch pipeline: sweep a two-epoch overlapped probe window")
 
 		// Outputs and modes of operation.
@@ -88,7 +87,6 @@ func main() {
 		spec.Seed = *seed
 		spec.MinorGC = *minorGC
 		spec.PersistIndex = *pIndex
-		spec.AsyncPersist = *asyncP
 		spec.Pipeline = *pipeline
 		if *rows > 0 {
 			spec.Rows = *rows

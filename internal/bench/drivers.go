@@ -53,8 +53,7 @@ type sizing struct {
 	registry  *nvcaracal.Registry
 	dram      bool // run the device at DRAM speed regardless of Scale
 	obsv      *nvcaracal.Obs
-	asyncP    bool // AsyncPersist: background checkpoint fence + epoch record
-	pipeline  bool // Pipeline: depth-1 epoch pipeline (implies AsyncPersist)
+	pipeline  bool // Pipeline: depth-1 epoch pipeline (background commit)
 	// logPerTxn overrides the default 256-byte per-transaction WAL budget
 	// for workloads whose inputs carry large values (the region is split in
 	// two so consecutive epochs can be in flight; size for the biggest
@@ -81,7 +80,6 @@ func (s Scale) nvcConfig(z sizing) nvcaracal.Config {
 		Registry:         z.registry,
 		LogBytes:         int64(s.EpochTxns)*max64(z.logPerTxn, 256) + (1 << 20),
 		Obs:              z.obsv,
-		AsyncPersist:     z.asyncP,
 		Pipeline:         z.pipeline,
 	}
 	if !z.dram && z.mode != nvcaracal.ModeAllDRAM {

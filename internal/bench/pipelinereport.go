@@ -10,27 +10,26 @@ import (
 	"nvcaracal/internal/crashcheck/kit"
 )
 
-// The pipeline benchmark contrasts the three epoch-commit modes the engine
-// offers — serial (the commit tail on the caller's critical path), async
-// (AsyncPersist: checkpoint fence + epoch record in the background), and
-// pipeline (Pipeline: the entire checkpoint, including parallel pool
-// staging, overlapped with the next epoch) — across worker counts and
-// workloads. The committed BENCH_pipeline.json is the regression artifact
-// for the overlap: mode deltas shrinking toward 1.0 mean the commit tail
-// crept back onto the critical path.
+// The pipeline benchmark contrasts the engine's two epoch-commit modes —
+// serial (the commit runs inline, on the caller's critical path) and
+// pipeline (Pipeline: the same commit, including parallel pool staging, on
+// a background committer overlapped with the next epoch) — across worker
+// counts and workloads. The committed BENCH_pipeline.json is the
+// regression artifact for the overlap: speedups shrinking toward 1.0 mean
+// the commit crept back onto the critical path.
 
 // PipelineCell is one (workload, mode, workers) run.
 type PipelineCell struct {
 	Workload string `json:"workload"`
-	// Mode is "serial", "async", or "pipeline".
+	// Mode is "serial" or "pipeline".
 	Mode      string  `json:"mode"`
 	Workers   int     `json:"workers"`
 	Epochs    int     `json:"epochs"`
 	EpochTxns int     `json:"epoch_txns"`
 	KTPS      float64 `json:"ktps"`
 	// EpochMS is the mean wall-clock per epoch over the whole measured
-	// run, INCLUDING the final WaitDurable drain — async and pipeline may
-	// not bank an undrained tail.
+	// run, INCLUDING the final WaitDurable drain — the pipeline may not
+	// bank an undrained commit.
 	EpochMS float64 `json:"epoch_ms"`
 	// SpeedupVsSerial is this cell's serial-mode EpochMS divided by its
 	// own, for the same workload and worker count (1.0 for serial cells).
@@ -40,13 +39,13 @@ type PipelineCell struct {
 	Note string `json:"note,omitempty"`
 }
 
-// lowWorkerOverlapNote explains sub-1.0 speedups at low worker counts —
-// profiled in EXPERIMENTS.md ("The async-at-1-worker anomaly"): the commit
-// tail is too short to hide at this scale, and the background committer's
-// busy-wait device accesses interfere with the next epoch's workers.
-const lowWorkerOverlapNote = "expected at low worker counts: the commit tail is " +
+// lowWorkerOverlapNote explains sub-1.0 speedups at low worker counts: the
+// commit is too short to hide at this scale, and the background
+// committer's busy-wait device accesses interfere with the next epoch's
+// workers.
+const lowWorkerOverlapNote = "expected at low worker counts: the commit is " +
 	"shorter than the overlap machinery costs, and the committer's busy-wait device " +
-	"model contends with the next epoch's workers (EXPERIMENTS.md: async-at-1-worker anomaly)"
+	"model contends with the next epoch's workers"
 
 // PipelineReport is the schema of BENCH_pipeline.json.
 type PipelineReport struct {
@@ -57,17 +56,16 @@ type PipelineReport struct {
 	Cells      []PipelineCell `json:"cells"`
 }
 
-// pipelineModes maps mode names onto the engine knobs.
+// pipelineModes maps mode names onto the engine's Pipeline knob.
 var pipelineModes = []struct {
-	name            string
-	async, pipeline bool
+	name     string
+	pipeline bool
 }{
-	{"serial", false, false},
-	{"async", true, false},
-	{"pipeline", true, true},
+	{"serial", false},
+	{"pipeline", true},
 }
 
-// RunPipelineReport sweeps serial/async/pipeline across 1/2/4/8 workers on
+// RunPipelineReport sweeps serial/pipeline across 1/2/4/8 workers on
 // the kv, ycsb (medium contention), and smallbank (low contention)
 // workloads.
 func RunPipelineReport(o Options) (PipelineReport, error) {
@@ -84,7 +82,7 @@ func RunPipelineReport(o Options) (PipelineReport, error) {
 			for _, mode := range pipelineModes {
 				sc := s
 				sc.Cores = workers
-				m, err := sc.runPipelineCell(workload, mode.async, mode.pipeline, o.Seed)
+				m, err := sc.runPipelineCell(workload, mode.pipeline, o.Seed)
 				if err != nil {
 					return rep, fmt.Errorf("%s/%s/%dw: %w", workload, mode.name, workers, err)
 				}
@@ -130,8 +128,8 @@ type pipelineMeasured struct {
 // its full commit work. Batches are pre-generated outside the clock (they
 // model the client side), and short rounds repeat until the window clears
 // the timer noise floor, like runNVC.
-func (s Scale) runPipelineCell(workload string, async, pipeline bool, seed int64) (pipelineMeasured, error) {
-	db, gen, err := s.setupPipelineWorkload(workload, async, pipeline, seed)
+func (s Scale) runPipelineCell(workload string, pipeline bool, seed int64) (pipelineMeasured, error) {
+	db, gen, err := s.setupPipelineWorkload(workload, pipeline, seed)
 	if err != nil {
 		return pipelineMeasured{}, err
 	}
@@ -176,8 +174,8 @@ func (s Scale) runPipelineCell(workload string, async, pipeline bool, seed int64
 
 // setupPipelineWorkload builds a loaded database plus a per-epoch batch
 // generator for one of the three swept workloads.
-func (s Scale) setupPipelineWorkload(workload string, async, pipeline bool, seed int64) (*nvcaracal.DB, func(int) []*nvcaracal.Txn, error) {
-	z := sizing{mode: nvcaracal.ModeNVCaracal, asyncP: async, pipeline: pipeline}
+func (s Scale) setupPipelineWorkload(workload string, pipeline bool, seed int64) (*nvcaracal.DB, func(int) []*nvcaracal.Txn, error) {
+	z := sizing{mode: nvcaracal.ModeNVCaracal, pipeline: pipeline}
 	switch workload {
 	case "kv":
 		return s.setupPipelineKV(z, seed)

@@ -93,7 +93,7 @@ func FromAttribReport(r bench.AttribReport) []Metric {
 
 // FromPipelineReport extracts the epoch-commit overlap shape: per-cell
 // speedup over serial (the regression target — deltas shrinking toward 1.0
-// mean the commit tail crept back onto the critical path) plus throughput
+// mean the commit crept back onto the critical path) plus throughput
 // trends.
 func FromPipelineReport(r bench.PipelineReport) []Metric {
 	var ms []Metric

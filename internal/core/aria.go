@@ -158,15 +158,9 @@ func (db *DB) RunEpochAria(batch []*AriaTxn) (AriaResult, error) {
 	if err := CheckBatchSize(len(batch)); err != nil {
 		return AriaResult{}, err
 	}
-	// Same commit barrier as RunEpoch: outside the pipeline the previous
-	// epoch must be durable before its log region is rewritten or its pools
-	// reopened; the pipeline defers the join to the pre-init-fence barrier
-	// below and only surfaces a committer that died.
-	if db.opts.Pipeline && !db.replaying {
-		db.raisePersistPanic()
-	} else {
-		db.persistBarrier()
-	}
+	// Same entry as RunEpoch: surface a committer that died; the pipeline's
+	// join is the pre-init-fence barrier below.
+	db.raisePersistPanic()
 	start := time.Now()
 	epoch := db.epoch.Load() + 1
 	res := AriaResult{Epoch: epoch}
@@ -211,7 +205,7 @@ func (db *DB) RunEpochAria(batch []*AriaTxn) (AriaResult, error) {
 	// this epoch may land before the previous epoch's record is durable. The
 	// Aria apply phase allocates and rewrites rows strictly after this
 	// point. A no-op outside the pipeline.
-	db.persistBarrier()
+	db.WaitDurable()
 	db.initFence(epoch, logged, gc.pending)
 	db.majorGCFinish(epoch, gc)
 	db.evictCache(epoch)

@@ -116,31 +116,16 @@ type Options struct {
 	// journal is strictly an accelerator: any validation failure falls
 	// back to the scan.
 	PersistIndex bool
-	// AsyncPersist overlaps the tail of the persist phase — the checkpoint
-	// fence, the epoch-record persist, and the allocator checkpoint release
-	// — with whatever the caller does between epochs. RunEpoch then returns
-	// after the epoch's writes are staged but before they are durable; the
-	// next RunEpoch (or WaitDurable) blocks until the previous epoch has
-	// committed, because the log region is rewritten and the checkpointed
-	// pools are reopened for allocation only once the epoch record is
-	// durable. Recovery replay always persists synchronously. Default off.
-	AsyncPersist bool
-	// Pipeline deepens AsyncPersist into a depth-1 epoch pipeline: a
-	// background committer stage owns epoch N's *entire* checkpoint — the
-	// per-core pool checkpoints (staged in parallel across the pool cores),
-	// the counter parity-slot stores, the index-journal block, the
-	// checkpoint fence, and the epoch record — while the caller's next
-	// RunEpoch proceeds straight into epoch N+1's log serialization, insert
-	// step, and major-GC phase 1. N+1 synchronizes only where correctness
-	// requires it: each init worker waits for the committer to finish
-	// staging its own core's pools before allocating or freeing from them
-	// (the per-pool staging token), and N+1's init fence waits for N's
-	// commit to retire entirely — rows are dual-version, not epoch-parity,
-	// so no row write of N+1 may land before N's record is durable, and the
-	// wait also keeps N+1's fences out of N's staged flush groups. Implies
-	// AsyncPersist's return semantics (WaitDurable before snapshotting the
-	// device); dual WAL parity slots make the overlapped log append safe.
-	// Recovery replay always persists synchronously. Default off.
+	// Pipeline runs each epoch's commit — counters, per-core pool staging,
+	// index journal, checkpoint fence, epoch record — on a background
+	// committer while the next RunEpoch logs, inits and executes: a depth-1
+	// epoch pipeline. The next epoch's init workers wait only for their own
+	// core's pool staging (the staging token); its init fence waits for the
+	// whole commit, since rows are dual-version and no row write may land
+	// before the previous epoch's record is durable. RunEpoch then returns
+	// before the epoch is durable: call WaitDurable before snapshotting the
+	// device. Replay always commits inline. Default off: the same commit
+	// runs inline at the end of RunEpoch.
 	Pipeline bool
 	// Registry maps logged transaction type ids to decoders, required for
 	// recovery replay when Mode logs.
@@ -172,11 +157,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Mode == ModeAllNVMM {
 		o.CacheEnabled = false
-	}
-	if o.Pipeline {
-		// The pipeline subsumes the async tail; a single flag selects the
-		// commit path in the engine.
-		o.AsyncPersist = true
 	}
 }
 

@@ -88,10 +88,11 @@ type DB struct {
 	// panicking worker unwinds it so the epoch unwinds instead of hanging.
 	gate waitGate
 
-	// Async-persist state (Options.AsyncPersist): persistWG tracks the
-	// in-flight commit of the previous epoch, persistPanic carries a panic
-	// (e.g. an injected crash) out of the commit goroutine to the next
-	// barrier, and durableEpoch is the last epoch whose record is durable.
+	// Committer state. durableEpoch is the last epoch whose record is
+	// durable. Under Options.Pipeline persistWG tracks the in-flight
+	// committer of the previous epoch and persistPanic carries a panic (e.g.
+	// an injected crash) out of it to the next barrier; outside the pipeline
+	// the commit runs inline and a panic unwinds RunEpoch directly.
 	persistWG    sync.WaitGroup
 	persistPanic atomic.Pointer[any]
 	durableEpoch atomic.Uint64
@@ -220,15 +221,11 @@ type EpochResult struct {
 	Epoch     uint64
 	Committed int
 	Aborted   int
-	// Durations of the epoch's stages. SyncTime is the synchronous
-	// (caller-side) part of the persist phase; CommitTime is the commit
-	// stage — the checkpoint fence, the epoch record, the allocator
-	// checkpoint release, and (under Options.Pipeline) the checkpoint
-	// staging the committer took off the critical path. Under AsyncPersist
-	// or Pipeline the commit runs in the background, so CommitTime reports
-	// the most recently *retired* commit — trailing the epoch by one — which
-	// keeps Total() an honest account of work performed instead of silently
-	// dropping the overlapped stage.
+	// Durations of the epoch's stages. SyncTime is the caller-side part of
+	// the persist phase; CommitTime is commitEpoch. Under Options.Pipeline
+	// the commit runs in the background, so CommitTime reports the most
+	// recently *retired* commit — trailing the epoch by one — which keeps
+	// Total() an honest account of work performed.
 	LogTime    time.Duration
 	InitTime   time.Duration
 	ExecTime   time.Duration
@@ -236,8 +233,8 @@ type EpochResult struct {
 	CommitTime time.Duration
 }
 
-// Total returns the wall-clock total of the epoch stages. Under an
-// asynchronous commit mode the commit stage overlaps the next epoch, so
+// Total returns the wall-clock total of the epoch stages. Under the
+// pipeline the commit stage overlaps the next epoch, so
 // Total() can exceed the epoch's critical-path latency — it measures work,
 // not wall clock between RunEpoch calls.
 func (r EpochResult) Total() time.Duration {
@@ -253,18 +250,11 @@ func (db *DB) RunEpoch(batch []*Txn) (EpochResult, error) {
 	if err := CheckBatchSize(len(batch)); err != nil {
 		return EpochResult{}, err
 	}
-	// Commit barrier. Outside the pipeline the previous epoch's (possibly
-	// asynchronous) persist must complete before this epoch rewrites the log
-	// region or allocates from the reopened pools. The pipeline removes both
-	// dependencies — the log has dual epoch-parity slots and the pools hand
-	// out per-core staging tokens — so entry only surfaces a committer that
-	// died; the real join is the commit barrier before this epoch's init
-	// fence.
-	if db.opts.Pipeline && !db.replaying {
-		db.raisePersistPanic()
-	} else {
-		db.persistBarrier()
-	}
+	// Outside the pipeline the previous epoch committed inline. Under it the
+	// log has dual epoch-parity slots and the pools hand out per-core staging
+	// tokens, so entry only surfaces a committer that died; the real join is
+	// the commit barrier before this epoch's init fence.
+	db.raisePersistPanic()
 	epoch := db.epoch.Load() + 1
 	res := EpochResult{Epoch: epoch}
 	ptask := db.opts.Prof.EpochTask(epoch)
@@ -328,8 +318,8 @@ func (db *DB) RunEpoch(batch []*Txn) (EpochResult, error) {
 	// durable; a crash would otherwise replay on top of half-new state. The
 	// join also keeps this epoch's init fence from committing the previous
 	// commit's staged lines early. A no-op outside the pipeline, where the
-	// entry barrier already joined.
-	db.persistBarrier()
+	// previous epoch committed inline.
+	db.WaitDurable()
 	db.initFence(epoch, logged, gc.pending)
 	db.majorGCFinish(epoch, gc)
 	db.evictCache(epoch)
@@ -351,28 +341,24 @@ func (db *DB) RunEpoch(batch []*Txn) (EpochResult, error) {
 	db.checkpointEpoch(epoch, spans)
 	db.finishEpoch(epoch, batch, &res)
 	endPhase()
-	async := db.opts.AsyncPersist && !db.replaying
+	persist := time.Since(t3)
 	res.CommitTime = time.Duration(db.commitDur.Load())
-	if async {
-		// The commit runs in the background: SyncTime is the caller-side
-		// handoff only, and CommitTime reports the last retired commit.
-		res.SyncTime = time.Since(t3)
-	} else {
-		res.SyncTime = time.Since(t3) - res.CommitTime
+	res.SyncTime = persist
+	if !db.opts.Pipeline || db.replaying {
+		// The commit ran inline, inside the persist span. In the background
+		// SyncTime is the caller-side handoff only, and CommitTime reports
+		// the last retired commit.
+		res.SyncTime -= res.CommitTime
 	}
 
 	db.epoch.Store(epoch)
 	db.met.AddEpoch()
 	db.obs.ObserveDurableLag(epoch - db.durableEpoch.Load())
 	// The phase durations are already in hand for EpochResult, so recording
-	// them adds no clock reads to the epoch path. Under an asynchronous
-	// commit the committer records its own PhaseCommit span; synchronously
-	// the commit stays inside the persist span as before.
-	persistSpan := res.SyncTime
-	if !async {
-		persistSpan += res.CommitTime
-	}
-	db.obs.RecordEpoch(epoch, t0, res.LogTime, res.InitTime, res.ExecTime, persistSpan)
+	// them adds no clock reads to the epoch path. Under the pipeline the
+	// committer records its own PhaseCommit span; inline the commit stays
+	// inside the persist span.
+	db.obs.RecordEpoch(epoch, t0, res.LogTime, res.InitTime, res.ExecTime, persist)
 	db.obs.Attrib().EpochEnd(epoch)
 	// The epoch-end event carries the critical-path duration (excluding any
 	// overlapped commit); the watchdog's outlier detector feeds on it.
@@ -400,133 +386,25 @@ func (db *DB) initFence(epoch uint64, logged, gcPending bool) {
 	}
 }
 
-// checkpointEpoch persists the epoch: counters, allocator control offsets,
-// and the index-journal block are staged synchronously; then one fence
-// covering everything, the epoch record (which carries its own trailing
-// fence), and the allocator checkpoint release commit the epoch. With
-// Options.AsyncPersist the commit tail runs on a background goroutine and
-// overlaps the caller's between-epoch work; with Options.Pipeline the
-// entire checkpoint — staging included — moves to the committer (see
-// checkpointEpochPipelined). persistBarrier (at the next epoch's
-// pre-init-fence join, or WaitDurable) joins the background stage.
-//
-// The synchronous staging order below — counters, then pools in core order
-// (row pool first, then value classes), then the index journal — is part of
-// the crash-test contract: committed reproducers index the device's flush
-// sequence with FailAfter counts, so the serial path must not reorder ops.
+// checkpointEpoch commits the epoch. It first captures the state the next
+// epoch consumes or mutates: the counter values (the caller may CounterAdd
+// between epochs), the index-journal delta entries (collectIndexEntries),
+// and, when the delta does not fit, the compaction itself — it walks the
+// live index — with the journal checkpoint. commitEpoch does the rest:
+// inline (depth 0) outside the pipeline and during replay, or on a
+// background committer (depth 1) under Options.Pipeline, which the next
+// epoch's pre-init-fence WaitDurable retires.
 func (db *DB) checkpointEpoch(epoch uint64, spans []*obs.TxnSpan) {
-	if db.opts.Pipeline && !db.replaying {
-		db.checkpointEpochPipelined(epoch, spans)
-		return
-	}
-	for i := range db.counters {
-		v := db.counters[i].Load()
-		c := pmem.NewCounter(db.dev, db.layout, int64(i))
-		c.Store(v, epoch)
-		c.Flush()
-	}
-	for c := 0; c < db.opts.Cores; c++ {
-		db.rowPools[c].Checkpoint(epoch)
-		for k := range db.valPools {
-			db.valPools[k][c].Checkpoint(epoch)
-		}
-	}
-	db.appendIndexJournal(epoch)
-	stampStaged(spans)
-
-	commit := func() {
-		start := time.Now()
-		db.obs.Flight().Record(obs.EvFence, obs.CoordinatorCore, epoch, int64(obs.CausePersistFinal), 0)
-		db.dev.Tag(obs.CausePersistFinal).Fence()
-		db.epochRec.Store(epoch)
-		for c := 0; c < db.opts.Cores; c++ {
-			db.rowPools[c].Checkpointed()
-			for k := range db.valPools {
-				db.valPools[k][c].Checkpointed()
-			}
-		}
-		db.durableEpoch.Store(epoch)
-		db.commitDur.Store(int64(time.Since(start)))
-		db.obs.Flight().Record(obs.EvDurablePublish, obs.CoordinatorCore, epoch, db.commitDur.Load(), 0)
-		db.publishSpans(spans)
-	}
-	if db.opts.AsyncPersist && !db.replaying {
-		db.persistWG.Add(1)
-		go func() {
-			start := time.Now()
-			defer db.persistWG.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					v := r
-					db.persistPanic.CompareAndSwap(nil, &v)
-					db.obs.Flight().DumpOnCrash(fmt.Sprintf("async commit of epoch %d: %v", epoch, r))
-				}
-			}()
-			// The goroutine inherited the coordinator's "persist" label;
-			// relabel it as the commit phase it actually is.
-			defer db.opts.Prof.Region(obs.PhaseCommit.String())()
-			commit()
-			db.obs.RecordCommit(epoch, start, time.Duration(db.commitDur.Load()))
-		}()
-		return
-	}
-	commit()
-}
-
-// stampStaged marks the checkpoint-staged instant on every sampled span of
-// the epoch: all engine state is staged and only the checkpoint fence and
-// epoch record separate the transactions from durability.
-func stampStaged(spans []*obs.TxnSpan) {
-	if len(spans) == 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	for _, s := range spans {
-		s.StagedNS = now
-	}
-}
-
-// publishSpans stamps durability and retires the epoch's sampled spans into
-// the txn-trace rings.
-func (db *DB) publishSpans(spans []*obs.TxnSpan) {
-	tt := db.obs.TxnTrace()
-	if tt == nil || len(spans) == 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	for _, s := range spans {
-		s.DurableNS = now
-		tt.Publish(s)
-	}
-}
-
-// checkpointEpochPipelined hands epoch N's entire checkpoint to the
-// background committer and returns as soon as the handoff state is
-// captured, letting the caller proceed into epoch N+1's log serialization
-// and init phase. Only state the next epoch consumes or mutates is captured
-// synchronously:
-//
-//   - counter values (the caller may CounterAdd between epochs);
-//   - the index-journal delta block's entries (idxPuts is drained here,
-//     deferred deletions are applied by finishEpoch, gcPending is consumed
-//     by N+1's major collector);
-//   - when the delta block does not fit, the compaction itself — it walks
-//     the live index, which N+1 mutates — and the journal checkpoint.
-//
-// Everything else — the parallel per-core pool staging, counter stores, the
-// journal append, the checkpoint fence, the epoch record, and the allocator
-// release — runs on the committer (commitEpoch).
-func (db *DB) checkpointEpochPipelined(epoch uint64, spans []*obs.TxnSpan) {
 	counterVals := make([]uint64, len(db.counters))
 	for i := range db.counters {
 		counterVals[i] = db.counters[i].Load()
 	}
 	var idxEntries []pmem.IndexEntry
-	idxAsync := false
+	idxAppend := false
 	if db.idxLog != nil {
 		idxEntries = db.collectIndexEntries()
 		if db.idxLog.Fits(len(idxEntries)) {
-			idxAsync = true
+			idxAppend = true
 		} else {
 			db.compactIndexJournal(epoch)
 			db.idxLog.Checkpoint(epoch)
@@ -536,44 +414,61 @@ func (db *DB) checkpointEpochPipelined(epoch uint64, spans []*obs.TxnSpan) {
 	for c := range tokens {
 		tokens[c] = make(chan struct{})
 	}
+	commit := func() { db.commitEpoch(epoch, tokens, counterVals, idxEntries, idxAppend, spans) }
+	if !db.opts.Pipeline || db.replaying {
+		commit()
+		return
+	}
 	db.commitTokens = tokens
 	db.persistWG.Add(1)
 	db.obs.Flight().Record(obs.EvCommitHandoff, obs.CoordinatorCore, epoch, 0, 0)
-	go db.commitEpoch(epoch, tokens, counterVals, idxEntries, idxAsync, spans)
+	go func() {
+		start := time.Now()
+		defer db.persistWG.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				v := r
+				db.persistPanic.CompareAndSwap(nil, &v)
+				db.obs.Flight().DumpOnCrash(fmt.Sprintf("committer of epoch %d: %v", epoch, r))
+			}
+		}()
+		// Relabel the committer (and, by inheritance, its per-core staging
+		// goroutines) as the commit phase.
+		defer db.opts.Prof.Region(obs.PhaseCommit.String())()
+		commit()
+		db.obs.RecordCommit(epoch, start, time.Duration(db.commitDur.Load()))
+	}()
 }
 
-// commitEpoch is the pipelined committer stage: it stages epoch N's
-// checkpoint — per-core pool checkpoints in parallel across the pool cores,
-// counter parity-slot stores, and the index-journal block — then issues the
-// checkpoint fence, persists the epoch record, and reopens the pools. Each
-// core's staging token is closed as soon as that core's pools are staged,
-// so epoch N+1's init workers resume per core without waiting for the
-// fence. A panic anywhere (an injected crash, most usefully) still closes
-// every token — N+1's workers must not deadlock — and surfaces, sticky, at
-// the next persistBarrier.
-func (db *DB) commitEpoch(epoch uint64, tokens []chan struct{}, counterVals []uint64, idxEntries []pmem.IndexEntry, idxAsync bool, spans []*obs.TxnSpan) {
+// commitEpoch is the only code that issues the checkpoint fence and the
+// epoch record. It stages counter parity slots, then each core's pools on a
+// goroutine per core (closing the core's staging token, so a pipelined next
+// epoch resumes per core), then the index-journal block; then the fence,
+// the epoch record (with its own trailing fence) and the allocator release.
+// Committed crash reproducers index this flush sequence with FailAfter
+// counts: on one core it must not be reordered.
+func (db *DB) commitEpoch(epoch uint64, tokens []chan struct{}, counterVals []uint64, idxEntries []pmem.IndexEntry, idxAppend bool, spans []*obs.TxnSpan) {
 	start := time.Now()
-	// Relabel the committer (and, by inheritance, its per-core staging
-	// goroutines) as the commit phase.
-	defer db.opts.Prof.Region(obs.PhaseCommit.String())()
-	defer db.persistWG.Done()
+	// Every token closes on every exit path: a counter flush that dies
+	// before the staging goroutines start must not leave the next epoch's
+	// insertStep blocked in waitPoolStaged. A staging goroutine closes its
+	// own token; launched counts those.
+	launched := 0
 	defer func() {
-		if r := recover(); r != nil {
-			v := r
-			db.persistPanic.CompareAndSwap(nil, &v)
-			db.obs.Flight().DumpOnCrash(fmt.Sprintf("committer of epoch %d: %v", epoch, r))
+		for _, t := range tokens[launched:] {
+			close(t)
 		}
 	}()
+	for i, v := range counterVals {
+		c := pmem.NewCounter(db.dev, db.layout, int64(i))
+		c.Store(v, epoch)
+		c.Flush()
+	}
 	var failed atomic.Pointer[any]
 	var wg sync.WaitGroup
-	// The staging join must survive a committer panic: if the counter or
-	// journal flushes below hit an injected fail point, unwinding without
-	// joining would leak staging goroutines that keep accessing the device
-	// after persistWG reports the engine quiescent — racing a crash tester's
-	// Device.Crash, its recovery, and even its next snapshot restore.
-	defer wg.Wait()
-	for c := 0; c < db.opts.Cores; c++ {
+	for c := range tokens {
 		wg.Add(1)
+		launched++
 		go func(c int) {
 			defer wg.Done()
 			defer close(tokens[c])
@@ -589,23 +484,25 @@ func (db *DB) commitEpoch(epoch uint64, tokens []chan struct{}, counterVals []ui
 			}
 		}(c)
 	}
-	for i, v := range counterVals {
-		c := pmem.NewCounter(db.dev, db.layout, int64(i))
-		c.Store(v, epoch)
-		c.Flush()
+	wg.Wait()
+	if p := failed.Load(); p != nil {
+		panic(*p)
 	}
-	if idxAsync {
-		// Fits was checked at handoff and nothing else appends, so this
+	if idxAppend {
+		// Fits was checked at capture and nothing else appends, so this
 		// cannot fail; if it somehow does, the sticky overflow flag is
 		// checkpointed below and recovery falls back to the row scan.
 		db.idxLog.AppendEpoch(epoch, idxEntries)
 		db.idxLog.Checkpoint(epoch)
 	}
-	wg.Wait()
-	if p := failed.Load(); p != nil {
-		panic(*p)
+	if len(spans) > 0 {
+		// Everything is staged: only the fence and the epoch record separate
+		// the sampled transactions from durability.
+		now := time.Now().UnixNano()
+		for _, s := range spans {
+			s.StagedNS = now
+		}
 	}
-	stampStaged(spans)
 	db.obs.Flight().Record(obs.EvFence, obs.CoordinatorCore, epoch, int64(obs.CausePersistFinal), 0)
 	db.dev.Tag(obs.CausePersistFinal).Fence()
 	db.epochRec.Store(epoch)
@@ -619,8 +516,14 @@ func (db *DB) commitEpoch(epoch uint64, tokens []chan struct{}, counterVals []ui
 	dur := time.Since(start)
 	db.commitDur.Store(int64(dur))
 	db.obs.Flight().Record(obs.EvDurablePublish, obs.CoordinatorCore, epoch, int64(dur), 0)
-	db.publishSpans(spans)
-	db.obs.RecordCommit(epoch, start, dur)
+	// Stamp durability and retire the sampled spans into the txn-trace rings.
+	if tt := db.obs.TxnTrace(); tt != nil && len(spans) > 0 {
+		now := time.Now().UnixNano()
+		for _, s := range spans {
+			s.DurableNS = now
+			tt.Publish(s)
+		}
+	}
 }
 
 // waitPoolStaged blocks until the in-flight committer, if any, has finished
@@ -633,12 +536,15 @@ func (db *DB) waitPoolStaged(c int) {
 	}
 }
 
-// persistBarrier joins the previous epoch's asynchronous commit, if one is
-// in flight, and re-raises any panic it captured (an injected crash from
-// the device's fail points, most usefully). The panic is sticky: once the
-// commit goroutine died the device state is not trustworthy and every
-// subsequent epoch attempt fails the same way.
-func (db *DB) persistBarrier() {
+// WaitDurable blocks until the most recently run epoch's record is durable:
+// it joins the background committer, if one is in flight, and re-raises any
+// panic it captured (an injected crash from the device's fail points, most
+// usefully). The panic is sticky: once the committer died the device state
+// is not trustworthy and every subsequent epoch attempt fails the same way.
+// With Pipeline off the commit ran inline and it returns at once. Call it
+// before snapshotting the device, reading fence-exact stats, or handing the
+// device to a crash tester.
+func (db *DB) WaitDurable() {
 	if db.obs.On() {
 		t := time.Now()
 		db.persistWG.Wait()
@@ -654,52 +560,25 @@ func (db *DB) persistBarrier() {
 }
 
 // raisePersistPanic re-raises a sticky committer panic without joining an
-// in-flight commit. The pipeline's RunEpoch entry uses it: a healthy commit
-// may legitimately overlap this epoch's front, but a committer that died
-// must surface immediately, not at the mid-epoch join.
+// in-flight commit. RunEpoch entry uses it: a healthy commit may
+// legitimately overlap this epoch's front, but a committer that died must
+// surface immediately, not at the mid-epoch join.
 func (db *DB) raisePersistPanic() {
 	if p := db.persistPanic.Load(); p != nil {
 		panic(*p)
 	}
 }
 
-// WaitDurable blocks until the most recently run epoch's record is durable.
-// With AsyncPersist and Pipeline off it returns immediately. Call it before
-// snapshotting the device, reading fence-exact stats, or handing the device
-// to a crash tester.
-func (db *DB) WaitDurable() { db.persistBarrier() }
-
 // DurableEpoch returns the last epoch whose record is known durable. It
-// trails Epoch() by at most one epoch while an asynchronous commit is in
+// trails Epoch() by at most one epoch while a background commit is in
 // flight and equals it otherwise.
 func (db *DB) DurableEpoch() uint64 { return db.durableEpoch.Load() }
-
-// appendIndexJournal writes the epoch's index-delta block — row creations,
-// deletions, and the rows queued for the next epoch's major collection —
-// and checkpoints the journal's write offset. When the delta would not fit
-// it compacts: the journal is rewound and a full index snapshot written in
-// its place. A failed snapshot sets the sticky overflow flag and recovery
-// falls back to the row scan.
-func (db *DB) appendIndexJournal(epoch uint64) {
-	if db.idxLog == nil {
-		return
-	}
-	entries := db.collectIndexEntries()
-	if !db.idxLog.AppendEpoch(epoch, entries) {
-		// Compact: replace the journal's history with a snapshot of the
-		// live index plus this epoch's pending GC rows. The deltas above
-		// are already reflected in the index (and deferred deletions are
-		// excluded below), so the snapshot subsumes them.
-		db.compactIndexJournal(epoch)
-	}
-	db.idxLog.Checkpoint(epoch)
-}
 
 // collectIndexEntries drains the epoch's index deltas into one block: row
 // creations (idxPuts is consumed), deferred deletions, and the rows queued
 // for the next epoch's major collection. All three sources are consumed or
-// mutated by the next epoch, so the pipelined checkpoint collects them
-// synchronously before handing the block to the committer.
+// mutated by the next epoch, so checkpointEpoch collects them synchronously
+// before handing the block to commitEpoch.
 func (db *DB) collectIndexEntries() []pmem.IndexEntry {
 	var entries []pmem.IndexEntry
 	for c := range db.idxPuts {
@@ -719,6 +598,11 @@ func (db *DB) collectIndexEntries() []pmem.IndexEntry {
 	return entries
 }
 
+// compactIndexJournal replaces the journal's history with a snapshot of the
+// live index plus this epoch's pending GC rows. The epoch's deltas are
+// already reflected in the index (and deferred deletions are excluded
+// below), so the snapshot subsumes them. A snapshot that does not fit sets
+// the sticky overflow flag and recovery falls back to the row scan.
 func (db *DB) compactIndexJournal(epoch uint64) {
 	deleted := make(map[index.Key]struct{})
 	for _, keys := range db.deferredIndexDeletes {

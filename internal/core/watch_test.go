@@ -162,8 +162,7 @@ func persistFinalFenced(o *obs.Obs, epoch uint64) bool {
 // transactions.
 func TestTxnLifecycleBreakdownIntegration(t *testing.T) {
 	o := obs.New(obs.Config{Hists: true, TxnTrace: true, TxnSampleEvery: 1, Cores: 2})
-	opts := testOpts(2)
-	opts.AsyncPersist = true
+	opts := pipelineOpts(2)
 	opts.Obs = o
 	dev := nvm.New(opts.Layout.TotalBytes())
 	db, err := Open(dev, opts)

@@ -76,23 +76,9 @@ func TestSweepPersistIndex(t *testing.T) {
 	assertClean(t, rep)
 }
 
-// TestSweepAsyncPersist explores the same space with the epoch-commit tail
-// running on a background goroutine: the checker drains it before every
-// snapshot, crash, and digest, so fail points that land inside the commit
-// (checkpoint fence, epoch record) are still explored deterministically.
-func TestSweepAsyncPersist(t *testing.T) {
-	s := smallSpec()
-	s.AsyncPersist = true
-	rep := mustRun(t, s, Config{})
-	assertClean(t, rep)
-	if !rep.Exhaustive {
-		t.Errorf("expected an exhaustive plan for the small spec")
-	}
-}
-
 // TestSweepPipeline explores the two-epoch overlapped window of the depth-1
 // epoch pipeline: fail points land inside epoch P's background commit
-// (parallel pool staging, counters, index journal, checkpoint fence, epoch
+// (counters, parallel pool staging, index journal, checkpoint fence, epoch
 // record) while epoch P+1's front serializes, inits, and executes — and
 // vice versa. The committer interleaves with the front nondeterministically
 // even on one core, so the sweep does not assert Deterministic; every

@@ -348,9 +348,9 @@ func OptionsSized(cores int, rowsPerCore, valuesPerCore int64) core.Options {
 
 // RunUntilCrash runs one Caracal-style epoch, converting an injected
 // device crash into a clean return: fired reports whether the fail-point
-// fired before the epoch completed. The epoch's asynchronous commit tail
-// (if Options.AsyncPersist is on) is drained inside the protected region,
-// so a fail point landing there also reports fired.
+// fired before the epoch completed. The epoch's background commit (if
+// Options.Pipeline is on) is drained inside the protected region, so a
+// fail point landing there also reports fired.
 func RunUntilCrash(db *core.DB, batch []*core.Txn) (fired bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -58,7 +58,6 @@ func newSession(spec Spec) (*session, error) {
 	}
 	s.opts.MinorGCEnabled = spec.MinorGC
 	s.opts.PersistIndex = spec.PersistIndex
-	s.opts.AsyncPersist = spec.AsyncPersist
 	s.opts.Pipeline = spec.Pipeline
 	if err := s.opts.Layout.Finalize(); err != nil {
 		return nil, fmt.Errorf("crashcheck: layout: %w", err)
@@ -377,8 +376,8 @@ func (s *session) ariaBatch(le int) []*core.AriaTxn {
 }
 
 // runEpoch runs one logical epoch in the spec's flavour. It drains the
-// asynchronous commit tail before returning so callers can snapshot the
-// device or digest the state immediately (a no-op with AsyncPersist off).
+// background commit before returning so callers can snapshot the device or
+// digest the state immediately (a no-op with Pipeline off).
 func (s *session) runEpoch(db *core.DB, le int) error {
 	if s.spec.Aria {
 		if _, err := db.RunEpochAria(s.ariaBatch(le)); err != nil {

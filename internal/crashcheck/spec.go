@@ -57,29 +57,22 @@ type Spec struct {
 	// PersistIndex enables the persistent index journal (§7 extension), so
 	// exploration covers the journal fast path of recovery.
 	PersistIndex bool `json:"persist_index,omitempty"`
-	// AsyncPersist overlaps each epoch's commit tail (checkpoint fence and
-	// epoch record) with the next epoch's work. The checker drains the
-	// in-flight commit (core.DB.WaitDurable) before every digest, snapshot,
-	// or injected crash, so fail points still index a deterministic flush
-	// sequence.
-	AsyncPersist bool `json:"async_persist,omitempty"`
 	// Pipeline runs the engine's depth-1 epoch pipeline (core.Options.
-	// Pipeline, which implies AsyncPersist): epoch N's entire checkpoint —
-	// parallel pool staging, counters, the index-journal block, the
-	// checkpoint fence, and the epoch record — runs on a background
-	// committer while epoch N+1's front proceeds. The probe window then
-	// spans TWO overlapped engine epochs (P and P+1, no drain between), so
-	// fail points land inside the overlap: in P's committer while P+1
-	// serializes, inits, or executes, or in P+1's front while P commits.
-	// The committer's staging goroutines interleave with the front
-	// nondeterministically even on one core, so a pipeline sweep samples
-	// one interleaving per point (Report.Deterministic records this); the
-	// recovered-state checks are interleaving-independent and still apply
-	// at every point. A fail point fires on exactly one goroutine — the
-	// checker drains the surviving side before cutting the device, matching
-	// real hardware, where the power failure (not the crashed thread)
-	// stops the other cores' stores mid-flight via the crash mode's
-	// line-granular lottery.
+	// Pipeline): epoch N's entire checkpoint — counters, parallel pool
+	// staging, the index-journal block, the checkpoint fence, and the epoch
+	// record — runs on a background committer while epoch N+1's front
+	// proceeds. The probe window then spans TWO overlapped engine epochs (P
+	// and P+1, no drain between), so fail points land inside the overlap:
+	// in P's committer while P+1 serializes, inits, or executes, or in
+	// P+1's front while P commits. The committer's staging goroutines
+	// interleave with the front nondeterministically even on one core, so a
+	// pipeline sweep samples one interleaving per point
+	// (Report.Deterministic records this); the recovered-state checks are
+	// interleaving-independent and still apply at every point. A fail point
+	// fires on exactly one goroutine — the checker drains the surviving
+	// side before cutting the device, matching real hardware, where the
+	// power failure (not the crashed thread) stops the other cores' stores
+	// mid-flight via the crash mode's line-granular lottery.
 	Pipeline bool `json:"pipeline,omitempty"`
 }
 

@@ -30,7 +30,7 @@ type StatsPayload struct {
 	Phases        map[string]HistJSON `json:"phases"`
 	// DurableLag counts completed epochs by Epoch()−DurableEpoch() at
 	// completion time; index i is a lag of i epochs (last bucket folds
-	// overflows). All zero unless an async/pipelined commit mode ran.
+	// overflows). All zero unless a pipelined commit ran.
 	DurableLag []uint64    `json:"durable_lag,omitempty"`
 	Device     *DeviceJSON `json:"device,omitempty"`
 	// Extra carries host-registered sources (engine counters, memory

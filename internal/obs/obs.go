@@ -82,7 +82,7 @@ type Obs struct {
 
 	// durableLag counts completed epochs by Epoch()−DurableEpoch() at
 	// completion time: bucket 0 when the commit retired in line, bucket 1
-	// while an asynchronous or pipelined commit was still in flight.
+	// while a pipelined commit was still in flight.
 	durableLag [MaxDurableLag]atomic.Uint64
 	lagOn      bool
 }
@@ -220,7 +220,7 @@ func (o *Obs) RecordEpoch(epoch uint64, start time.Time, log, init, exec, persis
 	o.epoch.Observe(log + init + exec + persist)
 }
 
-// RecordCommit records one retired asynchronous commit stage — a committer
+// RecordCommit records one retired background commit stage — a committer
 // span plus the commit-phase histogram. Safe to call from the committer
 // goroutine concurrently with the coordinator's RecordEpoch.
 func (o *Obs) RecordCommit(epoch uint64, start time.Time, dur time.Duration) {

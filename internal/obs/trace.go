@@ -22,9 +22,9 @@ const (
 	PhaseMinorGC
 	PhaseMajorGC
 	PhaseRecovery
-	// PhaseCommit is the asynchronous committer stage of a pipelined epoch:
-	// parallel pool-checkpoint staging, counter and index-journal stores,
-	// the checkpoint fence, and the epoch record. Under a synchronous
+	// PhaseCommit is the background committer stage of a pipelined epoch:
+	// counter stores, parallel pool-checkpoint staging, the index-journal
+	// block, the checkpoint fence, and the epoch record. Under an inline
 	// commit this work is inside PhasePersist instead.
 	PhaseCommit
 	// NumPhases bounds phase-indexed iteration: valid phases are

@@ -70,9 +70,9 @@ func blockBytes(n int) int64 { return idxBlockHdr + int64(n)*idxEntrySize }
 func (il *IndexLog) Remaining() int64 { return il.size - il.writeOff }
 
 // Fits reports whether a block of n entries can be appended now. The
-// pipelined engine decides synchronously — before handing the block to the
-// background committer — whether the append can run off the critical path
-// or compaction (which walks the live index) must run inline first.
+// engine decides at checkpoint capture — before handing the block to its
+// commit, which may run in the background — whether the append can run in
+// the commit or compaction (which walks the live index) must run first.
 func (il *IndexLog) Fits(n int) bool {
 	return !il.overflow && blockBytes(n) <= il.Remaining()
 }

@@ -440,7 +440,6 @@ func TestPipelineSubmitStress(t *testing.T) {
 		maxBatch   = 64
 	)
 	cfg := testConfig()
-	cfg.AsyncPersist = true
 	cfg.Pipeline = true
 	db, err := nvcaracal.Open(cfg)
 	if err != nil {

@@ -217,26 +217,15 @@ type Config struct {
 	// IndexJournalBytes sizes the journal region; auto-sized from the row
 	// pools when zero and PersistIndex is set.
 	IndexJournalBytes int64
-	// AsyncPersist overlaps the tail of the persist phase — the checkpoint
-	// fence, the epoch record, and the durable-epoch publish — with the
-	// caller's between-epoch work. RunEpoch drains the previous epoch's
-	// tail before starting, and DB.WaitDurable drains it explicitly
-	// (DB.DurableEpoch reports the last epoch whose record landed).
-	//
-	// The overlap only pays off when epochs leave enough work to hide the
-	// tail under: below ~4 worker cores both AsyncPersist and Pipeline can
-	// run SLOWER than synchronous commits, because the tail is short at
-	// that scale while the background committer's device accesses contend
-	// with the next epoch's workers (see the annotated 1-2 worker cells of
-	// BENCH_pipeline.json and EXPERIMENTS.md's async-at-1-worker anomaly
-	// note). Benchmark both settings at your worker count before enabling.
-	AsyncPersist bool
-	// Pipeline deepens AsyncPersist into a depth-1 epoch pipeline: a
-	// background committer owns the whole checkpoint (parallel per-core
-	// pool staging, counters, index journal, checkpoint fence, epoch
-	// record) while the caller runs the next epoch's log/init/execute.
-	// Implies AsyncPersist; DurableEpoch lags the current epoch by at most
-	// one until WaitDurable.
+	// Pipeline runs each epoch's commit (counters, pool staging, index
+	// journal, checkpoint fence, epoch record) on a background committer
+	// while the caller runs the next epoch: a depth-1 epoch pipeline.
+	// DB.DurableEpoch lags the current epoch by at most one until
+	// DB.WaitDurable. Below ~4 worker cores it can run SLOWER than inline
+	// commits: the commit is short at that scale, and the committer's
+	// device accesses contend with the next epoch's workers (see the 1-2
+	// worker cells of BENCH_pipeline.json). Benchmark both settings at your
+	// worker count before enabling.
 	Pipeline bool
 
 	// Registry supplies replay decoders; required for crash recovery.
@@ -325,7 +314,6 @@ func (c Config) coreOptions() (core.Options, error) {
 		MinorGCEnabled:   !c.DisableMinorGC,
 		RevertOnRecovery: c.RevertOnRecovery,
 		PersistIndex:     c.PersistIndex,
-		AsyncPersist:     c.AsyncPersist,
 		Pipeline:         c.Pipeline,
 		Registry:         c.Registry,
 		AriaRegistry:     c.AriaRegistry,
