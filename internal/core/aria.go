@@ -313,10 +313,10 @@ func (db *DB) RunEpochAria(batch []*AriaTxn) (AriaResult, error) {
 	db.checkpointEpoch(epoch, nil)
 	db.releaseEpochState(epoch)
 	endPhase()
-	db.met.AddCommitted(int64(res.Committed))
-	db.met.AddAborted(int64(res.UserAborted + res.ConflictAborted))
+	db.met.Coordinator().AddCommitted(int64(res.Committed))
+	db.met.Coordinator().AddAborted(int64(res.UserAborted + res.ConflictAborted))
 	db.epoch.Store(epoch)
-	db.met.AddEpoch()
+	db.met.Coordinator().AddEpoch()
 	res.ElapsedTime = time.Since(start)
 	// Execution covers the snapshot run plus conflict detection and the
 	// commit applies — the Aria analogue of the Caracal execute phase.

@@ -352,7 +352,7 @@ func (db *DB) RunEpoch(batch []*Txn) (EpochResult, error) {
 	}
 
 	db.epoch.Store(epoch)
-	db.met.AddEpoch()
+	db.met.Coordinator().AddEpoch()
 	db.obs.ObserveDurableLag(epoch - db.durableEpoch.Load())
 	// The phase durations are already in hand for EpochResult, so recording
 	// them adds no clock reads to the epoch path. Under the pipeline the
@@ -642,8 +642,8 @@ func (db *DB) finishEpoch(epoch uint64, batch []*Txn, res *EpochResult) {
 		t.span = nil
 		t.spanConsidered = false
 	}
-	db.met.AddCommitted(int64(res.Committed))
-	db.met.AddAborted(int64(res.Aborted))
+	db.met.Coordinator().AddCommitted(int64(res.Committed))
+	db.met.Coordinator().AddAborted(int64(res.Aborted))
 }
 
 // releaseEpochState resets the transient pools, applies deferred index

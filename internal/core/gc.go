@@ -153,7 +153,7 @@ func (db *DB) evictCache(epoch uint64) {
 		if stamp <= target {
 			rs.cached.Store(nil)
 			rs.onEvictList.Store(false)
-			db.met.CacheDrop(int64(len(cv.data)))
+			db.met.Coordinator().CacheDrop(int64(len(cv.data)))
 			continue
 		}
 		db.evictRing[stamp%ringLen] = append(db.evictRing[stamp%ringLen], rs)

@@ -182,3 +182,61 @@ var causeIdents = map[obs.Cause]string{
 	obs.CauseRecovery:     "CauseRecovery",
 	obs.CauseAlloc:        "CauseAlloc",
 }
+
+// TestGoldenCauseCountsWithoutAttrib pins that the device counts every
+// access by cause whether or not an Attrib is attached: with none, the
+// device's CauseCounts must equal the attribution goldens above and tile
+// its Stats exactly, on the TestGoldenAccessCounts cases as well.
+func TestGoldenCauseCountsWithoutAttrib(t *testing.T) {
+	run := func(t *testing.T, cores int, mode StorageMode, workload func(*testing.T, *DB)) *nvm.Device {
+		opts := testOpts(cores)
+		opts.Mode = mode
+		if mode == ModeAllNVMM {
+			opts.CacheEnabled = false
+		}
+		dev := nvm.New(opts.Layout.TotalBytes())
+		db, err := Open(dev, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.ResetStats()
+		workload(t, db)
+		var sum obs.CauseCounts
+		for _, cc := range dev.CauseCounts() {
+			sum.LineReads += cc.LineReads
+			sum.LineWrites += cc.LineWrites
+			sum.BytesRead += cc.BytesRead
+			sum.BytesWritten += cc.BytesWritten
+			sum.Flushes += cc.Flushes
+			sum.FlushesElided += cc.FlushesElided
+			sum.Fences += cc.Fences
+		}
+		st := dev.Stats()
+		want := obs.CauseCounts{
+			LineReads: st.LineReads, LineWrites: st.LineWrites,
+			BytesRead: st.BytesRead, BytesWritten: st.BytesWritten,
+			Flushes: st.Flushes, FlushesElided: st.FlushesElided, Fences: st.Fences,
+		}
+		if sum != want {
+			t.Errorf("per-cause counts do not tile Stats:\n sum   %+v\n stats %+v", sum, st)
+		}
+		return dev
+	}
+	for _, gc := range goldenCases() {
+		t.Run(gc.name, func(t *testing.T) {
+			if st := run(t, gc.cores, gc.mode, goldenWorkload).Stats(); st != gc.stats {
+				t.Errorf("device stats drifted:\n got  %+v\n want %+v", st, gc.stats)
+			}
+		})
+	}
+	for _, gc := range attribGoldenCases() {
+		t.Run(gc.name, func(t *testing.T) {
+			got := run(t, gc.cores, gc.mode, gc.workload).CauseCounts()
+			for c := obs.Cause(0); c < obs.NumCauses; c++ {
+				if got[c] != gc.perCause[c] {
+					t.Errorf("cause %s drifted:\n got  %+v\n want %+v", c, got[c], gc.perCause[c])
+				}
+			}
+		})
+	}
+}

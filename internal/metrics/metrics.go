@@ -35,9 +35,8 @@ type Cell struct {
 
 // Counters aggregates engine events. All methods are safe for concurrent
 // use. Hot paths should grab the executing core's Cell once via At and
-// update that; the convenience methods on Counters itself go to a dedicated
-// coordinator cell and are fine for cold paths (epoch boundaries,
-// coordinators, tests) even while workers are running.
+// update that; cold paths (epoch boundaries, coordinators, tests) update
+// the dedicated Coordinator cell, even while workers are running.
 type Counters struct {
 	cells [stripes + 1]Cell
 }
@@ -164,44 +163,6 @@ func (c *Cell) AddMinorGC() { c.minorGCs.Add(1) }
 
 // AddMajorGC counts a major-collector cleanup.
 func (c *Cell) AddMajorGC() { c.majorGCs.Add(1) }
-
-// Cold-path convenience forwarders on Counters (coordinator cell).
-
-// AddCommitted adds n committed transactions.
-func (c *Counters) AddCommitted(n int64) { c.Coordinator().AddCommitted(n) }
-
-// AddAborted adds n aborted transactions.
-func (c *Counters) AddAborted(n int64) { c.Coordinator().AddAborted(n) }
-
-// AddEpoch counts one completed epoch.
-func (c *Counters) AddEpoch() { c.Coordinator().AddEpoch() }
-
-// AddTransient counts a version written only to DRAM.
-func (c *Counters) AddTransient() { c.Coordinator().AddTransient() }
-
-// AddPersistent counts a final version written to NVMM.
-func (c *Counters) AddPersistent() { c.Coordinator().AddPersistent() }
-
-// AddRowRead counts a persistent-row read from NVMM.
-func (c *Counters) AddRowRead() { c.Coordinator().AddRowRead() }
-
-// AddCacheHit counts a read served by a cached version.
-func (c *Counters) AddCacheHit() { c.Coordinator().AddCacheHit() }
-
-// AddCacheMiss counts a read that fell through to NVMM.
-func (c *Counters) AddCacheMiss() { c.Coordinator().AddCacheMiss() }
-
-// CacheAdd accounts a cached-version creation of n payload bytes.
-func (c *Counters) CacheAdd(n int64) { c.Coordinator().CacheAdd(n) }
-
-// CacheDrop accounts a cached-version eviction of n payload bytes.
-func (c *Counters) CacheDrop(n int64) { c.Coordinator().CacheDrop(n) }
-
-// AddMinorGC counts a minor-collector cleanup.
-func (c *Counters) AddMinorGC() { c.Coordinator().AddMinorGC() }
-
-// AddMajorGC counts a major-collector cleanup.
-func (c *Counters) AddMajorGC() { c.Coordinator().AddMajorGC() }
 
 // Snapshot returns a copy of all counters, folding the striped cells and
 // the coordinator cell.

@@ -7,18 +7,18 @@ import (
 
 func TestCountersAccumulate(t *testing.T) {
 	var c Counters
-	c.AddCommitted(5)
-	c.AddAborted(2)
-	c.AddEpoch()
-	c.AddTransient()
-	c.AddTransient()
-	c.AddPersistent()
-	c.AddRowRead()
-	c.AddCacheHit()
-	c.AddCacheMiss()
-	c.CacheAdd(100)
-	c.AddMinorGC()
-	c.AddMajorGC()
+	c.Coordinator().AddCommitted(5)
+	c.Coordinator().AddAborted(2)
+	c.Coordinator().AddEpoch()
+	c.Coordinator().AddTransient()
+	c.Coordinator().AddTransient()
+	c.Coordinator().AddPersistent()
+	c.Coordinator().AddRowRead()
+	c.Coordinator().AddCacheHit()
+	c.Coordinator().AddCacheMiss()
+	c.Coordinator().CacheAdd(100)
+	c.Coordinator().AddMinorGC()
+	c.Coordinator().AddMajorGC()
 	s := c.Snapshot()
 	if s.TxnsCommitted != 5 || s.TxnsAborted != 2 || s.Epochs != 1 {
 		t.Fatalf("txn counters: %+v", s)
@@ -36,9 +36,9 @@ func TestCountersAccumulate(t *testing.T) {
 
 func TestCacheDrop(t *testing.T) {
 	var c Counters
-	c.CacheAdd(100)
-	c.CacheAdd(50)
-	c.CacheDrop(100)
+	c.Coordinator().CacheAdd(100)
+	c.Coordinator().CacheAdd(50)
+	c.Coordinator().CacheDrop(100)
 	s := c.Snapshot()
 	if s.CacheBytes != 50 || s.CacheEntries != 1 {
 		t.Fatalf("%+v", s)
@@ -47,10 +47,10 @@ func TestCacheDrop(t *testing.T) {
 
 func TestSub(t *testing.T) {
 	var c Counters
-	c.AddCommitted(10)
+	c.Coordinator().AddCommitted(10)
 	before := c.Snapshot()
-	c.AddCommitted(7)
-	c.AddTransient()
+	c.Coordinator().AddCommitted(7)
+	c.Coordinator().AddTransient()
 	d := c.Snapshot().Sub(before)
 	if d.TxnsCommitted != 7 || d.TransientVersions != 1 {
 		t.Fatalf("Sub: %+v", d)
@@ -63,34 +63,33 @@ func TestTransientShare(t *testing.T) {
 		t.Fatalf("empty share = %v", got)
 	}
 	for i := 0; i < 3; i++ {
-		c.AddTransient()
+		c.Coordinator().AddTransient()
 	}
-	c.AddPersistent()
+	c.Coordinator().AddPersistent()
 	if got := c.Snapshot().TransientShare(); got != 0.75 {
 		t.Fatalf("share = %v, want 0.75", got)
 	}
 }
 
-// TestCoordinatorCellIsolated pins the fix for cold-path forwarders landing
-// in worker cell 0: Counters-level updates must go to the dedicated
-// coordinator cell, leaving every worker cell untouched.
+// TestCoordinatorCellIsolated pins the coordinator cell apart from the
+// worker cells: cold-path updates must leave every worker cell untouched.
 func TestCoordinatorCellIsolated(t *testing.T) {
 	var c Counters
-	c.AddEpoch()
-	c.CacheDrop(10)
-	c.AddMajorGC()
+	c.Coordinator().AddEpoch()
+	c.Coordinator().CacheDrop(10)
+	c.Coordinator().AddMajorGC()
 	if got := c.At(0).epochs.Load(); got != 0 {
-		t.Fatalf("forwarder wrote worker cell 0: epochs = %d", got)
+		t.Fatalf("coordinator update wrote worker cell 0: epochs = %d", got)
 	}
 	if got := c.At(0).cacheBytes.Load(); got != 0 {
-		t.Fatalf("forwarder wrote worker cell 0: cacheBytes = %d", got)
+		t.Fatalf("coordinator update wrote worker cell 0: cacheBytes = %d", got)
 	}
 	co := c.Coordinator()
 	if co == c.At(0) || co == c.At(stripes) {
 		t.Fatal("coordinator cell aliases a worker cell")
 	}
 	if co.epochs.Load() != 1 || co.cacheBytes.Load() != -10 || co.majorGCs.Load() != 1 {
-		t.Fatal("coordinator cell missed forwarder updates")
+		t.Fatal("coordinator cell missed its updates")
 	}
 	s := c.Snapshot()
 	if s.Epochs != 1 || s.CacheBytes != -10 || s.MajorGCs != 1 {
@@ -102,11 +101,11 @@ func TestCoordinatorCellIsolated(t *testing.T) {
 // differenced, gauges report the newer snapshot's level.
 func TestSubGaugeSemantics(t *testing.T) {
 	var c Counters
-	c.AddCommitted(3)
-	c.CacheAdd(500)
+	c.Coordinator().AddCommitted(3)
+	c.Coordinator().CacheAdd(500)
 	before := c.Snapshot()
-	c.AddCommitted(4)
-	c.CacheAdd(200)
+	c.Coordinator().AddCommitted(4)
+	c.Coordinator().CacheAdd(200)
 	after := c.Snapshot()
 	d := after.Sub(before)
 	if d.TxnsCommitted != 4 {
@@ -117,7 +116,7 @@ func TestSubGaugeSemantics(t *testing.T) {
 	}
 }
 
-// TestCoordinatorWorkerConcurrent drives Counters-level forwarders from a
+// TestCoordinatorWorkerConcurrent drives the coordinator cell from a
 // coordinator goroutine while workers hammer their cells — the pattern the
 // engine uses at epoch boundaries. Run under -race in CI.
 func TestCoordinatorWorkerConcurrent(t *testing.T) {
@@ -139,8 +138,8 @@ func TestCoordinatorWorkerConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < per; i++ {
-			c.AddEpoch()
-			c.CacheDrop(1)
+			c.Coordinator().AddEpoch()
+			c.Coordinator().CacheDrop(1)
 			c.Snapshot()
 		}
 	}()
@@ -159,9 +158,9 @@ func TestConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.AddTransient()
-				c.CacheAdd(1)
-				c.CacheDrop(1)
+				c.Coordinator().AddTransient()
+				c.Coordinator().CacheAdd(1)
+				c.Coordinator().CacheDrop(1)
 			}
 		}()
 	}

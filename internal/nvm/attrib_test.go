@@ -113,25 +113,8 @@ func TestAttribWriteFieldsPerField(t *testing.T) {
 func TestStatsUnchangedByAttrib(t *testing.T) {
 	plain := New(1 << 14)
 	tagged, a := newAttribDevice(t, 1<<14)
-	drive := func(d *Device) {
-		td := d.Tag(obs.CauseWALAppend)
-		buf := make([]byte, 200)
-		for i := range buf {
-			buf[i] = byte(i)
-		}
-		td.WriteAt(buf, 64)
-		td.Flush(64, 200)
-		td.Fence()
-		d.Store64(1024, 9)
-		d.Persist(1024, 8)
-		d.WriteFields([]FieldWrite{{Off: 2048, Data: buf[:8]}}, []Range{{Off: 2048, N: 8}})
-		out := make([]byte, 200)
-		td.ReadAt(out, 64)
-		_ = d.Load64(1024)
-		d.PersistRange(Range{Off: 64, N: 200}, Range{Off: 2048, N: 8})
-	}
-	drive(plain)
-	drive(tagged)
+	driveMixed(plain)
+	driveMixed(tagged)
 	if ps, ts := plain.Stats(), tagged.Stats(); ps != ts {
 		t.Fatalf("Stats diverge with attribution attached:\nplain : %+v\ntagged: %+v", ps, ts)
 	}
@@ -147,6 +130,98 @@ func TestStatsUnchangedByAttrib(t *testing.T) {
 	}
 	if rw != st.LineWrites || rr != st.LineReads || bw != st.BytesWritten || br != st.BytesRead {
 		t.Fatalf("attribution totals (r=%d w=%d br=%d bw=%d) != Stats %+v", rr, rw, br, bw, st)
+	}
+}
+
+// driveMixed issues every kind of access, tagged and untagged.
+func driveMixed(d *Device) {
+	td := d.Tag(obs.CauseWALAppend)
+	buf := make([]byte, 200)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	td.WriteAt(buf, 64)
+	td.Flush(64, 200)
+	td.Fence()
+	d.Store64(1024, 9)
+	d.Persist(1024, 8)
+	d.WriteFields([]FieldWrite{{Off: 2048, Data: buf[:8]}}, []Range{{Off: 2048, N: 8}})
+	out := make([]byte, 200)
+	td.ReadAt(out, 64)
+	_ = d.Load64(1024)
+	d.PersistRange(Range{Off: 64, N: 200}, Range{Off: 2048, N: 8})
+	d.Tag(obs.CauseMajorGC).Store32(4096, 1)
+	_ = d.Tag(obs.CauseRecovery).Load32(4096)
+	d.Tag(obs.CauseMajorGC).Flush(4096, 64)
+	d.Tag(obs.CauseMajorGC).Flush(4096, 64) // elided: already staged
+	d.Tag(obs.CausePersistFinal).Fence()
+}
+
+// With no Attrib attached the device still counts every access by cause,
+// and the per-cause counts tile Stats exactly.
+func TestCauseCountsTileStatsWithoutAttrib(t *testing.T) {
+	d := New(1 << 14)
+	driveMixed(d)
+	var sum Stats
+	for _, cc := range d.CauseCounts() {
+		sum.LineReads += cc.LineReads
+		sum.LineWrites += cc.LineWrites
+		sum.BytesRead += cc.BytesRead
+		sum.BytesWritten += cc.BytesWritten
+		sum.Flushes += cc.Flushes
+		sum.FlushesElided += cc.FlushesElided
+		sum.Fences += cc.Fences
+	}
+	st := d.Stats()
+	sum.LinesFenced = st.LinesFenced
+	if sum != st {
+		t.Fatalf("per-cause counts do not tile Stats:\nsum  : %+v\nstats: %+v", sum, st)
+	}
+	if g := d.CauseCounts()[obs.CauseMajorGC]; g.LineWrites != 1 || g.Flushes != 1 || g.FlushesElided != 1 {
+		t.Fatalf("major-gc counts = %+v", g)
+	}
+}
+
+// Attrib.Reset zeroes what the instrument reports while the device keeps
+// counting; traffic after the reset is reported alone.
+func TestAttribResetKeepsDeviceCounting(t *testing.T) {
+	d, a := newAttribDevice(t, 1<<14)
+	driveMixed(d)
+	before := d.Stats()
+	a.Reset()
+	if s := a.Snapshot(); s != (obs.AttribSnapshot{}) {
+		t.Fatalf("snapshot after reset = %+v", s)
+	}
+	if c := a.Counts(obs.CauseWALAppend); c != (obs.CauseCounts{}) {
+		t.Fatalf("counts after reset = %+v", c)
+	}
+	if j := a.JSON(); len(j.PerCause) != 0 || j.WriteAmp.Cumulative.TotalLines != 0 {
+		t.Fatalf("JSON after reset: per-cause %v, cumulative %+v", j.PerCause, j.WriteAmp.Cumulative)
+	}
+	if st := d.Stats(); st != before {
+		t.Fatalf("Attrib.Reset moved device stats: %+v, was %+v", st, before)
+	}
+	d.Tag(obs.CauseWALAppend).Store64(0, 1)
+	d.Tag(obs.CauseWALAppend).Flush(0, 8)
+	if c := a.Counts(obs.CauseWALAppend); c.LineWrites != 1 || c.BytesWritten != 8 || c.Flushes != 1 {
+		t.Fatalf("counts after reset and one write = %+v", c)
+	}
+	if st := d.Stats(); st.LineWrites != before.LineWrites+1 || st.Flushes != before.Flushes+1 {
+		t.Fatalf("device stopped counting: %+v, was %+v", st, before)
+	}
+}
+
+// Restore rewinds the device counters, and the attribution counts read
+// from them rewind along.
+func TestRestoreRewindsAttribution(t *testing.T) {
+	d, a := newAttribDevice(t, 1<<14)
+	d.Tag(obs.CausePersistFinal).Persist(0, 8)
+	snap := d.Snapshot()
+	want := a.Snapshot()
+	driveMixed(d)
+	d.Restore(snap)
+	if got := a.Snapshot(); got != want {
+		t.Fatalf("attribution after Restore:\ngot : %+v\nwant: %+v", got, want)
 	}
 }
 

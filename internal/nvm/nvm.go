@@ -32,8 +32,11 @@
 //     allocation) and records the line once in a striped touched-line
 //     journal, so Fence commits exactly the flushed lines instead of
 //     sweeping every possible line under a global lock.
-//   - Access statistics go to striped counter cells, folded on Stats(),
-//     so concurrent workers do not contend on one cache line of counters.
+//   - Access statistics go to counter cells striped by line and split by
+//     the access's obs.Cause, folded on Stats(), so concurrent workers do
+//     not contend on one cache line of counters. The per-cause split is
+//     the device's only count of its traffic; attribution reads it rather
+//     than counting again.
 //
 // The device is safe for concurrent use provided concurrent accesses do not
 // overlap byte ranges (the same discipline real memory requires). Crash
@@ -63,7 +66,7 @@ const LineSize = 64
 // most 64: Device.occupied keeps one bit per stripe.
 const stripeCount = 64
 
-// statStripes is the number of striped statistic cells.
+// statStripes is the number of line stripes of the statistic cells.
 const statStripes = 64
 
 // Per-line durability state bits.
@@ -175,21 +178,22 @@ func WithChaosEviction(denom int, seed int64) Option {
 }
 
 // WithObserver attaches a device observer recording per-call latency
-// histograms for the read/write/flush/fence paths plus a fence-stall
-// counter. A nil or disabled observer leaves only a single predicate check
-// on each path; see obs.DeviceObs.
+// histograms for the read/write/flush/fence paths. A nil or disabled
+// observer leaves only a single predicate check on each path; see
+// obs.DeviceObs.
 func WithObserver(o *obs.DeviceObs) Option {
 	return func(d *Device) {
 		d.obs = o
 	}
 }
 
-// WithAttrib attaches an access-attribution instrument: every access is
-// credited to the obs.Cause its call site carries (via Tag; untagged calls
-// count as CauseOther), feeding per-cause counters, the spatial heatmap,
-// and write-amplification accounting. Attribution is purely observational:
-// it never changes Stats, durability state, or the latency model. Nil
-// leaves only a pointer check on each path.
+// WithAttrib attaches an access-attribution instrument. The device already
+// counts every access under the obs.Cause its call site carries (via Tag;
+// untagged calls count as CauseOther); the instrument reads those counts
+// through CauseCounts and adds the spatial heatmap of line writes, the
+// named regions, and write-amplification accounting. Attribution is purely
+// observational: it never changes Stats, durability state, or the latency
+// model. Nil leaves only a pointer check on each write path.
 func WithAttrib(a *obs.Attrib) Option {
 	return func(d *Device) {
 		d.attrib = a
@@ -207,8 +211,8 @@ type journalStripe struct {
 	_     [64 - 8]byte // keep stripes off each other's cache lines
 }
 
-// statCell is one stripe of the access counters. Exactly one cache line so
-// cells do not false-share.
+// statCell holds the access counters of one line stripe and one cause.
+// Exactly one cache line so cells do not false-share.
 type statCell struct {
 	lineReads     atomic.Int64
 	lineWrites    atomic.Int64
@@ -258,7 +262,7 @@ type Device struct {
 	writeLatency time.Duration
 	fenceLatency time.Duration
 
-	cells [statStripes]statCell
+	cells [statStripes][obs.NumCauses]statCell
 
 	// failAfter, when positive, counts down on every flushed line; reaching
 	// zero panics with ErrInjectedCrash. Disabled when zero or negative.
@@ -285,13 +289,12 @@ type Device struct {
 	traceFences bool
 	fenceMarks  []int64
 
-	// obs, when attached and enabled, records per-call latency histograms
-	// and the fence-stall counter. Nil-safe: every path asks obs.On() once.
+	// obs, when attached and enabled, records per-call latency histograms.
+	// Nil-safe: every path asks obs.On() once.
 	obs *obs.DeviceObs
 
-	// attrib, when attached, credits every access to its call site's
-	// obs.Cause (see Tag / WithAttrib). Nil-safe: one pointer check per
-	// path.
+	// attrib, when attached, maps line writes onto its heatmap and regions
+	// (see WithAttrib). Nil-safe: one pointer check per write path.
 	attrib *obs.Attrib
 }
 
@@ -313,7 +316,7 @@ func New(size int64, opts ...Option) *Device {
 	for _, o := range opts {
 		o(d)
 	}
-	d.attrib.InitSpace(d.nLines)
+	d.attrib.Attach(d.nLines, d.CauseCounts)
 	return d
 }
 
@@ -332,10 +335,11 @@ func (d *Device) stripeFor(line int64) *journalStripe {
 	return &d.stripes[line%stripeCount]
 }
 
-// cellFor picks the statistics stripe for an access starting at the given
-// line. Disjoint working sets (per-core pools) land on different cells.
-func (d *Device) cellFor(line int64) *statCell {
-	return &d.cells[uint64(line)%statStripes]
+// cellFor picks the statistics cell for an access of cause c starting at
+// the given line. Disjoint working sets (per-core pools) land on different
+// stripes.
+func (d *Device) cellFor(line int64, c obs.Cause) *statCell {
+	return &d.cells[uint64(line)%statStripes][c]
 }
 
 // spin busy-waits for roughly dur. Busy waiting (rather than sleeping) keeps
@@ -381,12 +385,9 @@ func (d *Device) readAt(p []byte, off int64, c obs.Cause) {
 	d.check(off, n)
 	copy(p, d.live[off:off+n])
 	lines := linesSpanned(off, n)
-	cell := d.cellFor(lineOf(off))
+	cell := d.cellFor(lineOf(off), c)
 	cell.lineReads.Add(lines)
 	cell.bytesRead.Add(n)
-	if a := d.attrib; a != nil {
-		a.RecordRead(c, lineOf(off), lines, n)
-	}
 	d.chargeRead(lines)
 	if on {
 		d.obs.Read.Observe(time.Since(t0))
@@ -406,12 +407,9 @@ func (d *Device) slice(off, n int64, c obs.Cause) []byte {
 	}
 	d.check(off, n)
 	lines := linesSpanned(off, n)
-	cell := d.cellFor(lineOf(off))
+	cell := d.cellFor(lineOf(off), c)
 	cell.lineReads.Add(lines)
 	cell.bytesRead.Add(n)
-	if a := d.attrib; a != nil {
-		a.RecordRead(c, lineOf(off), lines, n)
-	}
 	d.chargeRead(lines)
 	if on {
 		d.obs.Read.Observe(time.Since(t0))
@@ -450,12 +448,10 @@ func (d *Device) writeAt(p []byte, off int64, c obs.Cause) {
 	copy(d.live[off:off+n], p)
 	d.markDirty(off, n)
 	lines := linesSpanned(off, n)
-	cell := d.cellFor(lineOf(off))
+	cell := d.cellFor(lineOf(off), c)
 	cell.lineWrites.Add(lines)
 	cell.bytesWritten.Add(n)
-	if a := d.attrib; a != nil {
-		a.RecordWrite(c, lineOf(off), lines, n)
-	}
+	d.attrib.RecordWrite(lineOf(off), lines)
 	d.chargeWrite(chargedWriteLines(lines))
 	if on {
 		d.obs.Write.Observe(time.Since(t0))
@@ -477,12 +473,10 @@ func (d *Device) zero(off, n int64, c obs.Cause) {
 	clear(d.live[off : off+n])
 	d.markDirty(off, n)
 	lines := linesSpanned(off, n)
-	cell := d.cellFor(lineOf(off))
+	cell := d.cellFor(lineOf(off), c)
 	cell.lineWrites.Add(lines)
 	cell.bytesWritten.Add(n)
-	if a := d.attrib; a != nil {
-		a.RecordWrite(c, lineOf(off), lines, n)
-	}
+	d.attrib.RecordWrite(lineOf(off), lines)
 	d.chargeWrite(chargedWriteLines(lines))
 	if on {
 		d.obs.Write.Observe(time.Since(t0))
@@ -553,12 +547,9 @@ func (d *Device) load64(off int64, c obs.Cause) uint64 {
 	v := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 	lines := linesSpanned(off, 8)
-	cell := d.cellFor(lineOf(off))
+	cell := d.cellFor(lineOf(off), c)
 	cell.lineReads.Add(lines)
 	cell.bytesRead.Add(8)
-	if a := d.attrib; a != nil {
-		a.RecordRead(c, lineOf(off), lines, 8)
-	}
 	d.chargeRead(lines)
 	if on {
 		d.obs.Read.Observe(time.Since(t0))
@@ -587,12 +578,10 @@ func (d *Device) store64(off int64, v uint64, c obs.Cause) {
 	b[7] = byte(v >> 56)
 	d.markDirty(off, 8)
 	lines := linesSpanned(off, 8)
-	cell := d.cellFor(lineOf(off))
+	cell := d.cellFor(lineOf(off), c)
 	cell.lineWrites.Add(lines)
 	cell.bytesWritten.Add(8)
-	if a := d.attrib; a != nil {
-		a.RecordWrite(c, lineOf(off), lines, 8)
-	}
+	d.attrib.RecordWrite(lineOf(off), lines)
 	d.chargeWrite(lines)
 	if on {
 		d.obs.Write.Observe(time.Since(t0))
@@ -611,12 +600,9 @@ func (d *Device) load32(off int64, c obs.Cause) uint32 {
 	d.check(off, 4)
 	b := d.live[off : off+4]
 	v := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	cell := d.cellFor(lineOf(off))
+	cell := d.cellFor(lineOf(off), c)
 	cell.lineReads.Add(1)
 	cell.bytesRead.Add(4)
-	if a := d.attrib; a != nil {
-		a.RecordRead(c, lineOf(off), 1, 4)
-	}
 	d.chargeRead(1)
 	if on {
 		d.obs.Read.Observe(time.Since(t0))
@@ -640,12 +626,10 @@ func (d *Device) store32(off int64, v uint32, c obs.Cause) {
 	b[2] = byte(v >> 16)
 	b[3] = byte(v >> 24)
 	d.markDirty(off, 4)
-	cell := d.cellFor(lineOf(off))
+	cell := d.cellFor(lineOf(off), c)
 	cell.lineWrites.Add(1)
 	cell.bytesWritten.Add(4)
-	if a := d.attrib; a != nil {
-		a.RecordWrite(c, lineOf(off), 1, 4)
-	}
+	d.attrib.RecordWrite(lineOf(off), 1)
 	d.chargeWrite(1)
 	if on {
 		d.obs.Write.Observe(time.Since(t0))
@@ -678,7 +662,6 @@ func (d *Device) writeFields(fields []FieldWrite, flushes []Range, c obs.Cause) 
 	}
 	var lines, chargedLines, bytes int64
 	var cell *statCell
-	a := d.attrib
 	for _, f := range fields {
 		n := int64(len(f.Data))
 		if n == 0 {
@@ -692,14 +675,12 @@ func (d *Device) writeFields(fields []FieldWrite, flushes []Range, c obs.Cause) 
 		chargedLines += chargedWriteLines(ln)
 		bytes += n
 		if cell == nil {
-			cell = d.cellFor(lineOf(f.Off))
+			cell = d.cellFor(lineOf(f.Off), c)
 		}
-		if a != nil {
-			// Per field, not per call: a vectored write's fields may land in
-			// different regions of the address space (value heap vs. row
-			// descriptor), and the heatmap wants each span.
-			a.RecordWrite(c, lineOf(f.Off), ln, n)
-		}
+		// Per field, not per call: a vectored write's fields may land in
+		// different regions of the address space (value heap vs. row
+		// descriptor), and the heatmap wants each span.
+		d.attrib.RecordWrite(lineOf(f.Off), ln)
 	}
 	if cell != nil {
 		cell.lineWrites.Add(lines)
@@ -741,27 +722,17 @@ func (d *Device) flush(off, n int64, c obs.Cause) {
 			// Clean since the last fence (durable, or staged with the same
 			// content a second write-back would snapshot): elide.
 			elided++
-			if a := d.attrib; a != nil {
-				a.RecordFlushElided(c, l)
-			}
 			continue
 		}
-		if d.flushLine(l) {
-			if a := d.attrib; a != nil {
-				a.RecordFlush(c, l)
-			}
-		} else {
+		if !d.flushLine(l, c) {
 			// The dirty bit vanished under us (chaos eviction won the race):
 			// the line is durable, the write-back is unnecessary.
 			elided++
-			if a := d.attrib; a != nil {
-				a.RecordFlushElided(c, l)
-			}
 		}
 		touched = true
 	}
 	if elided > 0 {
-		d.cellFor(first).flushesElided.Add(elided)
+		d.cellFor(first, c).flushesElided.Add(elided)
 	}
 	// Clean-range flushes are hardware no-ops; recording them would drown
 	// the histogram in zeros.
@@ -775,8 +746,8 @@ func (d *Device) flush(off, n int64, c obs.Cause) {
 // chaos eviction of the same line; stores stay lock-free, so the state CAS
 // can race with a concurrent markDirty — on CAS failure the snapshot is
 // retaken so a dirty marking is only ever cleared by a snapshot that
-// includes its bytes.
-func (d *Device) flushLine(l int64) bool {
+// includes its bytes. The write-back is counted under cause c.
+func (d *Device) flushLine(l int64, c obs.Cause) bool {
 	sp := d.stripeFor(l)
 	sp.mu.Lock()
 	st := &d.state[l]
@@ -795,7 +766,7 @@ func (d *Device) flushLine(l int64) bool {
 			break
 		}
 	}
-	d.cellFor(l).flushes.Add(1)
+	d.cellFor(l, c).flushes.Add(1)
 	if d.failAfter.Load() > 0 && d.failAfter.Add(-1) == 0 {
 		sp.mu.Unlock()
 		panic(ErrInjectedCrash)
@@ -860,10 +831,7 @@ func (d *Device) fence(c obs.Cause) {
 	}
 	d.fenceMu.Lock()
 	defer d.fenceMu.Unlock()
-	d.cells[0].fences.Add(1)
-	if a := d.attrib; a != nil {
-		a.RecordFence(c)
-	}
+	d.cells[0][c].fences.Add(1)
 	if d.traceFences {
 		d.fenceMarks = append(d.fenceMarks, d.foldFlushes())
 	}
@@ -894,13 +862,12 @@ func (d *Device) fence(c obs.Cause) {
 		}
 		sp.mu.Unlock()
 	}
-	d.cells[0].linesFenced.Add(committed)
+	d.cells[0][c].linesFenced.Add(committed)
 	if on {
 		// Includes the wait for fenceMu: contending fences stall each other,
-		// and that serialization is exactly what the stall counter surfaces.
-		dur := time.Since(t0)
-		d.obs.Fence.Observe(dur)
-		d.obs.AddFenceStall(dur)
+		// and that serialization is exactly what the fence-stall total (the
+		// histogram's sum) surfaces.
+		d.obs.Fence.Observe(time.Since(t0))
 	}
 }
 
@@ -985,36 +952,76 @@ func (d *Device) SetFailAfter(n int64) { d.failAfter.Store(n) }
 // at the new value. Zero disables.
 func (d *Device) SetCommitStall(stall time.Duration) { d.commitStall.Store(int64(stall)) }
 
+// addTo adds the cell's counters into s.
+func (c *statCell) addTo(s *Stats) {
+	s.LineReads += c.lineReads.Load()
+	s.LineWrites += c.lineWrites.Load()
+	s.BytesRead += c.bytesRead.Load()
+	s.BytesWritten += c.bytesWritten.Load()
+	s.Flushes += c.flushes.Load()
+	s.FlushesElided += c.flushesElided.Load()
+	s.Fences += c.fences.Load()
+	s.LinesFenced += c.linesFenced.Load()
+}
+
+// store overwrites the cell's counters.
+func (c *statCell) store(s Stats) {
+	c.lineReads.Store(s.LineReads)
+	c.lineWrites.Store(s.LineWrites)
+	c.bytesRead.Store(s.BytesRead)
+	c.bytesWritten.Store(s.BytesWritten)
+	c.flushes.Store(s.Flushes)
+	c.flushesElided.Store(s.FlushesElided)
+	c.fences.Store(s.Fences)
+	c.linesFenced.Store(s.LinesFenced)
+}
+
+// causeStats folds the line stripes into per-cause totals.
+func (d *Device) causeStats() [obs.NumCauses]Stats {
+	var out [obs.NumCauses]Stats
+	for i := range d.cells {
+		for c := range d.cells[i] {
+			d.cells[i][c].addTo(&out[c])
+		}
+	}
+	return out
+}
+
 // Stats returns a snapshot of the cumulative access counters, folding the
-// striped cells.
+// striped per-cause cells.
 func (d *Device) Stats() Stats {
 	var s Stats
 	for i := range d.cells {
-		c := &d.cells[i]
-		s.LineReads += c.lineReads.Load()
-		s.LineWrites += c.lineWrites.Load()
-		s.BytesRead += c.bytesRead.Load()
-		s.BytesWritten += c.bytesWritten.Load()
-		s.Flushes += c.flushes.Load()
-		s.FlushesElided += c.flushesElided.Load()
-		s.Fences += c.fences.Load()
-		s.LinesFenced += c.linesFenced.Load()
+		for c := range d.cells[i] {
+			d.cells[i][c].addTo(&s)
+		}
 	}
 	return s
 }
 
-// ResetStats zeroes all counters.
+// CauseCounts returns the cumulative access counters split by the cause
+// each access was tagged with; the per-cause counts tile Stats exactly
+// (LinesFenced, which obs.CauseCounts does not carry, aside). It is the
+// source WithAttrib attaches to the attribution instrument.
+func (d *Device) CauseCounts() [obs.NumCauses]obs.CauseCounts {
+	var out [obs.NumCauses]obs.CauseCounts
+	for c, s := range d.causeStats() {
+		out[c] = obs.CauseCounts{
+			LineReads: s.LineReads, LineWrites: s.LineWrites,
+			BytesRead: s.BytesRead, BytesWritten: s.BytesWritten,
+			Flushes: s.Flushes, FlushesElided: s.FlushesElided, Fences: s.Fences,
+		}
+	}
+	return out
+}
+
+// ResetStats zeroes all counters, and with them the attribution counts
+// read from them (see obs.Attrib.Reset).
 func (d *Device) ResetStats() {
 	for i := range d.cells {
-		c := &d.cells[i]
-		c.lineReads.Store(0)
-		c.lineWrites.Store(0)
-		c.bytesRead.Store(0)
-		c.bytesWritten.Store(0)
-		c.flushes.Store(0)
-		c.flushesElided.Store(0)
-		c.fences.Store(0)
-		c.linesFenced.Store(0)
+		for c := range d.cells[i] {
+			d.cells[i][c].store(Stats{})
+		}
 	}
 }
 

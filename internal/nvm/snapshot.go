@@ -3,16 +3,18 @@ package nvm
 import (
 	"fmt"
 	"time"
+
+	"nvcaracal/internal/obs"
 )
 
 // Snapshot is a deep copy of a device's full simulation state: the three
 // byte images, the per-line durability state words, the flushed-line
-// journals, the access counters, the chaos-eviction PRNG, and the latency
-// configuration. It is the restart mechanism of the crash-consistency
-// model checker: capture one snapshot after the (expensive) workload
-// prefix, then Restore before each explored crash point instead of
-// re-running the prefix, or NewDevice a replica per worker so points are
-// explored in parallel.
+// journals, the per-cause access counters, the chaos-eviction PRNG, and
+// the latency configuration. It is the restart mechanism of the
+// crash-consistency model checker: capture one snapshot after the
+// (expensive) workload prefix, then Restore before each explored crash
+// point instead of re-running the prefix, or NewDevice a replica per
+// worker so points are explored in parallel.
 //
 // Snapshot and Restore require the same quiescence as Crash: no accesses
 // in flight.
@@ -25,7 +27,7 @@ type Snapshot struct {
 
 	journals [stripeCount][]int64
 
-	cells [statStripes][8]int64
+	cells [statStripes][obs.NumCauses]Stats
 
 	chaosDenom int
 	chaosState uint64
@@ -67,12 +69,8 @@ func (d *Device) Snapshot() *Snapshot {
 		sp.mu.Unlock()
 	}
 	for i := range d.cells {
-		c := &d.cells[i]
-		s.cells[i] = [8]int64{
-			c.lineReads.Load(), c.lineWrites.Load(),
-			c.bytesRead.Load(), c.bytesWritten.Load(),
-			c.flushes.Load(), c.flushesElided.Load(),
-			c.fences.Load(), c.linesFenced.Load(),
+		for c := range d.cells[i] {
+			d.cells[i][c].addTo(&s.cells[i][c])
 		}
 	}
 	return s
@@ -80,9 +78,10 @@ func (d *Device) Snapshot() *Snapshot {
 
 // Restore rewinds the device to a previously captured snapshot, including
 // images, durability state, journals, counters, chaos PRNG, and fail-point
-// counter. Fence-mark traces are cleared. The snapshot must come from a
-// device of the same size. The caller must ensure no accesses are in
-// flight.
+// counter. Fence-mark traces are cleared. An attached obs.Attrib reads its
+// per-cause counts from the device, so they rewind too. The snapshot must
+// come from a device of the same size. The caller must ensure no accesses
+// are in flight.
 func (d *Device) Restore(s *Snapshot) {
 	if s.size != d.size {
 		panic(fmt.Sprintf("nvm: restore of %d-byte snapshot onto %d-byte device", s.size, d.size))
@@ -108,15 +107,9 @@ func (d *Device) Restore(s *Snapshot) {
 	}
 	d.occupied.Store(occupied)
 	for i := range d.cells {
-		c := &d.cells[i]
-		c.lineReads.Store(s.cells[i][0])
-		c.lineWrites.Store(s.cells[i][1])
-		c.bytesRead.Store(s.cells[i][2])
-		c.bytesWritten.Store(s.cells[i][3])
-		c.flushes.Store(s.cells[i][4])
-		c.flushesElided.Store(s.cells[i][5])
-		c.fences.Store(s.cells[i][6])
-		c.linesFenced.Store(s.cells[i][7])
+		for c := range d.cells[i] {
+			d.cells[i][c].store(s.cells[i][c])
+		}
 	}
 	d.chaosDenom = s.chaosDenom
 	d.chaosState.Store(s.chaosState)
@@ -160,11 +153,13 @@ func (d *Device) FenceMarks() []int64 {
 	return append([]int64(nil), d.fenceMarks...)
 }
 
-// foldFlushes sums the striped flush counters.
+// foldFlushes sums the flush counters over stripes and causes.
 func (d *Device) foldFlushes() int64 {
 	var n int64
 	for i := range d.cells {
-		n += d.cells[i].flushes.Load()
+		for c := range d.cells[i] {
+			n += d.cells[i][c].flushes.Load()
+		}
 	}
 	return n
 }

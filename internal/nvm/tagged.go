@@ -5,15 +5,14 @@ import "nvcaracal/internal/obs"
 // Tagged is a context-free attributed view of a Device: a value pairing the
 // device with the obs.Cause every access through it is credited to. Call
 // sites that know why they touch NVMM (persisting a final version,
-// appending the WAL, running GC) hold a Tagged instead of the raw *Device
-// and the attribution layer decomposes the device traffic per cause.
+// appending the WAL, running GC) hold a Tagged instead of the raw *Device,
+// and the device counts each access in that cause's cells (CauseCounts).
 //
 // Tagged is two words, copied by value, and allocates nothing: engines
 // embed it in their per-access handles (core's rowRef) or construct it
-// inline per call (wal). With no attribution attached (WithAttrib unset or
-// nil) a Tagged access is the plain device access plus one nil pointer
-// check; Stats, durability state, and the latency model are identical
-// either way.
+// inline per call (wal). A Tagged access costs what the plain device
+// access costs, which counts under CauseOther; Stats, durability state,
+// and the latency model are identical either way.
 type Tagged struct {
 	d     *Device
 	cause obs.Cause

@@ -69,29 +69,14 @@ func (c Cause) String() string {
 // with a test.
 const AttribLineSize = 64
 
-// attribStripes is the stripe count for the per-cause cells and the
-// write-amplification cells, matching the device's own stat striping.
+// attribStripes is the stripe count of the write-amplification cells.
 const attribStripes = 64
 
-// DefaultHeatBuckets is the heatmap resolution used when Config
-// leaves AttribHeatBuckets zero.
+// DefaultHeatBuckets is the heatmap resolution of an Attrib built by New.
 const DefaultHeatBuckets = 256
 
 // maxEpochWindows bounds the per-epoch write-amplification ring.
 const maxEpochWindows = 64
-
-// causeCell is one stripe's counters for one cause, padded to a cache line
-// so stripes don't false-share.
-type causeCell struct {
-	lineReads     atomic.Int64
-	lineWrites    atomic.Int64
-	bytesRead     atomic.Int64
-	bytesWritten  atomic.Int64
-	flushes       atomic.Int64
-	flushesElided atomic.Int64
-	fences        atomic.Int64
-	_             [1]int64
-}
 
 // wampCell is one core stripe of the logical-write accounting the engine
 // reports from its commit path.
@@ -129,19 +114,26 @@ type Region struct {
 	Len  int64 // bytes
 }
 
-// Attrib is the NVMM access-attribution instrument: striped per-cause
-// line/byte/flush counters, a spatial line-write heatmap over the device
-// address space with a named-region mapping, and write-amplification
-// accounting (logical row bytes vs. lines actually written, per epoch and
-// cumulative, plus the persist-every-write counterfactual). All entry
-// points are nil-safe; the device and engine carry a possibly-nil *Attrib
-// and pay a nil check when it is off.
+// causeOrigin is where the per-cause counts come from: the attached
+// device's cumulative per-cause fold, and its reading at the last Reset.
+type causeOrigin struct {
+	source func() [NumCauses]CauseCounts
+	base   [NumCauses]CauseCounts
+}
+
+// Attrib is the NVMM access-attribution instrument: the per-cause
+// line/byte/flush/fence counts read from the attached device, a spatial
+// line-write heatmap over the device address space with a named-region
+// mapping, and write-amplification accounting (logical row bytes vs. lines
+// actually written, per epoch and cumulative, plus the persist-every-write
+// counterfactual). All entry points are nil-safe; the device and engine
+// carry a possibly-nil *Attrib and pay a nil check when it is off.
 type Attrib struct {
 	heatBuckets int
 
-	cells [attribStripes][NumCauses]causeCell
-	wamp  [attribStripes]wampCell
+	wamp [attribStripes]wampCell
 
+	origin  atomic.Pointer[causeOrigin]
 	heat    atomic.Pointer[heatState]
 	regions atomic.Pointer[regionTable]
 
@@ -152,7 +144,7 @@ type Attrib struct {
 
 // NewAttrib builds an attribution instrument. heatBuckets caps the heatmap
 // resolution (DefaultHeatBuckets when <= 0); the bucket width in lines is
-// fixed once the device size is known via InitSpace.
+// fixed once the device size is known via Attach.
 func NewAttrib(heatBuckets int) *Attrib {
 	if heatBuckets <= 0 {
 		heatBuckets = DefaultHeatBuckets
@@ -169,11 +161,19 @@ func (o *Obs) Attrib() *Attrib {
 	return o.attrib
 }
 
-// InitSpace sizes the heatmap for a device of nLines lines. The device
-// calls it at construction; calling again (reopening a device on the same
-// instrument) re-sizes and clears the heatmap.
-func (a *Attrib) InitSpace(nLines int64) {
-	if a == nil || nLines <= 0 {
+// Attach binds the instrument to a device of nLines lines whose
+// cumulative per-cause traffic source reports (nvm.Device.CauseCounts):
+// it sizes the heatmap and makes source the origin of every per-cause
+// count, since the device is the one counter of that traffic. source must
+// not block. The device calls Attach at construction; attaching again (a
+// new device on the same instrument) re-sizes and clears the heatmap and
+// reports the new device's counts from its start.
+func (a *Attrib) Attach(nLines int64, source func() [NumCauses]CauseCounts) {
+	if a == nil {
+		return
+	}
+	a.origin.Store(&causeOrigin{source: source})
+	if nLines <= 0 {
 		return
 	}
 	per := (nLines + int64(a.heatBuckets) - 1) / int64(a.heatBuckets)
@@ -208,52 +208,13 @@ func (a *Attrib) SetRegions(rs []Region) {
 	a.regions.Store(t)
 }
 
-// RecordRead attributes a device read of the given line span.
-func (a *Attrib) RecordRead(c Cause, firstLine, lines, bytes int64) {
-	if a == nil {
-		return
+// RecordWrite maps a device line-write span onto the spatial heatmap and
+// the region breakdown. The device counts the write itself. Small enough
+// to inline, so a nil instrument costs the caller a pointer check.
+func (a *Attrib) RecordWrite(firstLine, lines int64) {
+	if a != nil {
+		a.recordSpace(firstLine, lines)
 	}
-	cell := &a.cells[firstLine%attribStripes][c]
-	cell.lineReads.Add(lines)
-	cell.bytesRead.Add(bytes)
-}
-
-// RecordWrite attributes a device write of the given line span, and feeds
-// the spatial heatmap and region breakdown.
-func (a *Attrib) RecordWrite(c Cause, firstLine, lines, bytes int64) {
-	if a == nil {
-		return
-	}
-	cell := &a.cells[firstLine%attribStripes][c]
-	cell.lineWrites.Add(lines)
-	cell.bytesWritten.Add(bytes)
-	a.recordSpace(firstLine, lines)
-}
-
-// RecordFlush attributes one actually-flushed (made-durable) line.
-func (a *Attrib) RecordFlush(c Cause, line int64) {
-	if a == nil {
-		return
-	}
-	a.cells[line%attribStripes][c].flushes.Add(1)
-}
-
-// RecordFlushElided attributes one line a Flush visited but skipped because
-// the durability state machine showed it already clean — a write-back the
-// cause would have paid for without the elision pass.
-func (a *Attrib) RecordFlushElided(c Cause, line int64) {
-	if a == nil {
-		return
-	}
-	a.cells[line%attribStripes][c].flushesElided.Add(1)
-}
-
-// RecordFence attributes one fence to the cause that ordered it.
-func (a *Attrib) RecordFence(c Cause) {
-	if a == nil {
-		return
-	}
-	a.cells[0][c].fences.Add(1)
 }
 
 func (a *Attrib) recordSpace(firstLine, lines int64) {
@@ -326,21 +287,32 @@ type wampTotals struct {
 	totalBytes          int64
 }
 
+// perCause reads the source relative to the last Reset.
+func (a *Attrib) perCause() [NumCauses]CauseCounts {
+	var out [NumCauses]CauseCounts
+	o := a.origin.Load()
+	if o == nil || o.source == nil {
+		return out
+	}
+	out = o.source()
+	for c := range out {
+		out[c] = out[c].sub(o.base[c])
+	}
+	return out
+}
+
 // foldTotals measures physical write volume in *flushed* lines (write-backs
 // the durability machine actually issued), not per-store line touches:
 // several stores to one line cost one NVMM write, and the persist-every-write
 // counterfactual is denominated in the same unit.
 func (a *Attrib) foldTotals() wampTotals {
 	var t wampTotals
-	for s := range a.cells {
-		for c := Cause(0); c < NumCauses; c++ {
-			fl := a.cells[s][c].flushes.Load()
-			t.totalLines += fl
-			t.totalBytes += a.cells[s][c].bytesWritten.Load()
-			switch c {
-			case CausePersistFinal, CauseMinorGC, CauseMajorGC, CauseIntermediate:
-				t.rowLines += fl
-			}
+	for c, cc := range a.perCause() {
+		t.totalLines += cc.Flushes
+		t.totalBytes += cc.BytesWritten
+		switch Cause(c) {
+		case CausePersistFinal, CauseMinorGC, CauseMajorGC, CauseIntermediate:
+			t.rowLines += cc.Flushes
 		}
 	}
 	for s := range a.wamp {
@@ -409,26 +381,21 @@ func (a *Attrib) EpochEnd(epoch uint64) {
 	}
 }
 
-// Reset clears every counter, the heatmap, the region counts, and the
-// epoch ring (the heatmap geometry and region map are kept). Racing
-// recorders are tolerated, not synchronized, like Hist.Reset.
+// Reset zeroes what the instrument reports: the per-cause counts restart
+// from the source's current reading (the device keeps counting), and the
+// logical-write counters, the heatmap, the region counts, and the epoch
+// ring are cleared (the heatmap geometry and region map are kept). A
+// device ResetStats or Restore rewinds the source itself, so call Reset
+// after those, not before. Racing recorders are tolerated, not
+// synchronized, like Hist.Reset.
 func (a *Attrib) Reset() {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for s := range a.cells {
-		for c := range a.cells[s] {
-			cell := &a.cells[s][c]
-			cell.lineReads.Store(0)
-			cell.lineWrites.Store(0)
-			cell.bytesRead.Store(0)
-			cell.bytesWritten.Store(0)
-			cell.flushes.Store(0)
-			cell.flushesElided.Store(0)
-			cell.fences.Store(0)
-		}
+	if o := a.origin.Load(); o != nil && o.source != nil {
+		a.origin.Store(&causeOrigin{source: o.source, base: o.source()})
 	}
 	for s := range a.wamp {
 		w := &a.wamp[s]
@@ -464,6 +431,18 @@ type CauseCounts struct {
 	Fences        int64 `json:"fences,omitempty"`
 }
 
+func (c CauseCounts) sub(o CauseCounts) CauseCounts {
+	return CauseCounts{
+		LineReads:     c.LineReads - o.LineReads,
+		LineWrites:    c.LineWrites - o.LineWrites,
+		BytesRead:     c.BytesRead - o.BytesRead,
+		BytesWritten:  c.BytesWritten - o.BytesWritten,
+		Flushes:       c.Flushes - o.Flushes,
+		FlushesElided: c.FlushesElided - o.FlushesElided,
+		Fences:        c.Fences - o.Fences,
+	}
+}
+
 // AttribSnapshot is a consistent-enough (per-counter atomic) fold of the
 // attribution state, for tests and reports.
 type AttribSnapshot struct {
@@ -475,24 +454,13 @@ type AttribSnapshot struct {
 	CounterfactualLines int64
 }
 
-// Snapshot folds every stripe.
+// Snapshot reads the per-cause counts and folds the logical-write stripes.
 func (a *Attrib) Snapshot() AttribSnapshot {
 	var s AttribSnapshot
 	if a == nil {
 		return s
 	}
-	for st := range a.cells {
-		for c := Cause(0); c < NumCauses; c++ {
-			cell := &a.cells[st][c]
-			s.PerCause[c].LineReads += cell.lineReads.Load()
-			s.PerCause[c].LineWrites += cell.lineWrites.Load()
-			s.PerCause[c].BytesRead += cell.bytesRead.Load()
-			s.PerCause[c].BytesWritten += cell.bytesWritten.Load()
-			s.PerCause[c].Flushes += cell.flushes.Load()
-			s.PerCause[c].FlushesElided += cell.flushesElided.Load()
-			s.PerCause[c].Fences += cell.fences.Load()
-		}
-	}
+	s.PerCause = a.perCause()
 	for st := range a.wamp {
 		w := &a.wamp[st]
 		s.LogicalBytes += w.logicalBytes.Load()
@@ -504,23 +472,12 @@ func (a *Attrib) Snapshot() AttribSnapshot {
 	return s
 }
 
-// Counts returns the folded counters of one cause.
+// Counts returns the counts of one cause.
 func (a *Attrib) Counts(c Cause) CauseCounts {
 	if a == nil {
 		return CauseCounts{}
 	}
-	var out CauseCounts
-	for st := range a.cells {
-		cell := &a.cells[st][c]
-		out.LineReads += cell.lineReads.Load()
-		out.LineWrites += cell.lineWrites.Load()
-		out.BytesRead += cell.bytesRead.Load()
-		out.BytesWritten += cell.bytesWritten.Load()
-		out.Flushes += cell.flushes.Load()
-		out.FlushesElided += cell.flushesElided.Load()
-		out.Fences += cell.fences.Load()
-	}
-	return out
+	return a.perCause()[c]
 }
 
 // RegionJSON is one named region's share of line writes.

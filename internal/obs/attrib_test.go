@@ -2,8 +2,17 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// attached returns an Attrib for a device of nLines lines whose per-cause
+// source reads *table, standing in for nvm.Device.CauseCounts.
+func attached(heatBuckets int, nLines int64, table *[NumCauses]CauseCounts) *Attrib {
+	a := NewAttrib(heatBuckets)
+	a.Attach(nLines, func() [NumCauses]CauseCounts { return *table })
+	return a
+}
 
 func TestCauseNamesComplete(t *testing.T) {
 	seen := map[string]bool{}
@@ -24,11 +33,9 @@ func TestCauseNamesComplete(t *testing.T) {
 
 func TestAttribNilSafe(t *testing.T) {
 	var a *Attrib
-	a.InitSpace(100)
+	a.Attach(100, nil)
 	a.SetRegions([]Region{{Name: "x", Off: 0, Len: 64}})
-	a.RecordRead(CauseOther, 0, 1, 64)
-	a.RecordWrite(CausePersistFinal, 0, 1, 64)
-	a.RecordFlush(CauseWALAppend, 3)
+	a.RecordWrite(0, 1)
 	a.AddLogicalWrite(0, 100, 3)
 	a.AddCommitted(0, 100)
 	a.EpochEnd(1)
@@ -49,13 +56,11 @@ func TestAttribNilSafe(t *testing.T) {
 }
 
 func TestAttribPerCauseCounts(t *testing.T) {
-	a := NewAttrib(0)
-	a.RecordWrite(CausePersistFinal, 0, 2, 80)
-	a.RecordWrite(CausePersistFinal, 65, 1, 8) // different stripe, same cause
-	a.RecordWrite(CauseWALAppend, 1, 3, 160)
-	a.RecordRead(CauseRecovery, 7, 4, 256)
-	a.RecordFlush(CausePersistFinal, 0)
-	a.RecordFlush(CausePersistFinal, 65)
+	var table [NumCauses]CauseCounts
+	table[CausePersistFinal] = CauseCounts{LineWrites: 3, BytesWritten: 88, Flushes: 2}
+	table[CauseWALAppend] = CauseCounts{LineWrites: 3, BytesWritten: 160}
+	table[CauseRecovery] = CauseCounts{LineReads: 4, BytesRead: 256}
+	a := attached(0, 1000, &table)
 
 	pf := a.Counts(CausePersistFinal)
 	if pf.LineWrites != 3 || pf.BytesWritten != 88 || pf.Flushes != 2 {
@@ -78,11 +83,11 @@ func TestAttribPerCauseCounts(t *testing.T) {
 
 func TestAttribHeatmapBuckets(t *testing.T) {
 	a := NewAttrib(4)
-	a.InitSpace(16)                       // 4 lines per bucket
-	a.RecordWrite(CauseOther, 0, 2, 128)  // bucket 0
-	a.RecordWrite(CauseOther, 5, 1, 64)   // bucket 1
-	a.RecordWrite(CauseOther, 3, 2, 128)  // crosses buckets 0/1: split exactly
-	a.RecordWrite(CauseOther, 15, 4, 256) // clamped at the last bucket
+	a.Attach(16, nil)    // 4 lines per bucket
+	a.RecordWrite(0, 2)  // bucket 0
+	a.RecordWrite(5, 1)  // bucket 1
+	a.RecordWrite(3, 2)  // crosses buckets 0/1: split exactly
+	a.RecordWrite(15, 4) // clamped at the last bucket
 
 	j := a.JSON()
 	if j.Heatmap.LinesPerBucket != 4 {
@@ -98,16 +103,16 @@ func TestAttribHeatmapBuckets(t *testing.T) {
 
 func TestAttribRegions(t *testing.T) {
 	a := NewAttrib(0)
-	a.InitSpace(1000)
+	a.Attach(1000, nil)
 	a.SetRegions([]Region{
 		{Name: "row-heap", Off: 0, Len: 64 * 10},
 		{Name: "wal", Off: 64 * 10, Len: 64 * 10},
 		{Name: "row-heap", Off: 64 * 20, Len: 64 * 10}, // second core, same name
 	})
-	a.RecordWrite(CausePersistFinal, 2, 1, 64)  // first row-heap
-	a.RecordWrite(CauseWALAppend, 12, 2, 128)   // wal
-	a.RecordWrite(CausePersistFinal, 25, 1, 64) // second row-heap
-	a.RecordWrite(CauseOther, 500, 1, 64)       // outside all regions
+	a.RecordWrite(2, 1)   // first row-heap
+	a.RecordWrite(12, 2)  // wal
+	a.RecordWrite(25, 1)  // second row-heap
+	a.RecordWrite(500, 1) // outside all regions
 
 	j := a.JSON()
 	byName := map[string]RegionJSON{}
@@ -126,29 +131,23 @@ func TestAttribRegions(t *testing.T) {
 }
 
 func TestAttribWriteAmpWindows(t *testing.T) {
-	a := NewAttrib(0)
+	var table [NumCauses]CauseCounts
+	a := attached(0, 1000, &table)
 	// Epoch 1: 3 logical writes to one row (128 B each), one final persist
 	// flushing 3 lines; persist-all would have written 3*(2+1)=9 lines.
-	// Line volume is counted in write-backs (RecordFlush), not store touches.
+	// Line volume is counted in write-backs (Flushes), not store touches.
 	for i := 0; i < 3; i++ {
 		a.AddLogicalWrite(0, 128, 3)
 	}
 	a.AddCommitted(0, 128)
-	a.RecordWrite(CausePersistFinal, 0, 3, 136)
-	for l := int64(0); l < 3; l++ {
-		a.RecordFlush(CausePersistFinal, l)
-	}
-	a.RecordWrite(CauseWALAppend, 100, 4, 200)
-	for l := int64(100); l < 104; l++ {
-		a.RecordFlush(CauseWALAppend, l)
-	}
+	table[CausePersistFinal] = CauseCounts{LineWrites: 3, BytesWritten: 136, Flushes: 3}
+	table[CauseWALAppend] = CauseCounts{LineWrites: 4, BytesWritten: 200, Flushes: 4}
 	a.EpochEnd(1)
 
 	// Epoch 2: one logical write, one commit, one line written back.
 	a.AddLogicalWrite(1, 32, 2)
 	a.AddCommitted(1, 32)
-	a.RecordWrite(CausePersistFinal, 7, 1, 40)
-	a.RecordFlush(CausePersistFinal, 7)
+	table[CausePersistFinal] = CauseCounts{LineWrites: 4, BytesWritten: 176, Flushes: 4}
 	a.EpochEnd(2)
 
 	j := a.JSON()
@@ -194,10 +193,11 @@ func TestAttribEpochRingBounded(t *testing.T) {
 }
 
 func TestAttribReset(t *testing.T) {
-	a := NewAttrib(0)
-	a.InitSpace(100)
+	var table [NumCauses]CauseCounts
+	table[CausePersistFinal] = CauseCounts{LineWrites: 5, BytesWritten: 320, Flushes: 5}
+	a := attached(0, 100, &table)
 	a.SetRegions([]Region{{Name: "x", Off: 0, Len: 6400}})
-	a.RecordWrite(CausePersistFinal, 0, 5, 320)
+	a.RecordWrite(0, 5)
 	a.AddLogicalWrite(0, 64, 2)
 	a.AddCommitted(0, 64)
 	a.EpochEnd(1)
@@ -220,9 +220,9 @@ func TestAttribReset(t *testing.T) {
 }
 
 func TestAttribJSONSkipsZeroCauses(t *testing.T) {
-	a := NewAttrib(0)
-	a.RecordWrite(CauseWALAppend, 0, 1, 64)
-	j := a.JSON()
+	var table [NumCauses]CauseCounts
+	table[CauseWALAppend] = CauseCounts{LineWrites: 1, BytesWritten: 64}
+	j := attached(0, 100, &table).JSON()
 	if len(j.PerCause) != 1 {
 		t.Fatalf("per-cause map = %v, want only wal-append", j.PerCause)
 	}
@@ -232,8 +232,16 @@ func TestAttribJSONSkipsZeroCauses(t *testing.T) {
 }
 
 func TestAttribConcurrent(t *testing.T) {
+	// The source is read (by EpochEnd) while the workers count into it, as
+	// a device's cells are.
+	var writes [NumCauses]atomic.Int64
 	a := NewAttrib(0)
-	a.InitSpace(1 << 12)
+	a.Attach(1<<12, func() (t [NumCauses]CauseCounts) {
+		for c := range t {
+			t[c].LineWrites = writes[c].Load()
+		}
+		return t
+	})
 	a.SetRegions([]Region{{Name: "all", Off: 0, Len: 64 << 12}})
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -243,9 +251,8 @@ func TestAttribConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				line := int64((w*per + i) % (1 << 12))
-				a.RecordWrite(Cause(i%int(NumCauses)), line, 1, 64)
-				a.RecordRead(CauseOther, line, 1, 64)
-				a.RecordFlush(CauseOther, line)
+				writes[i%int(NumCauses)].Add(1)
+				a.RecordWrite(line, 1)
 				a.AddLogicalWrite(w, 64, 2)
 				if i%4 == 0 {
 					a.AddCommitted(w, 64)
@@ -282,13 +289,13 @@ func TestAttribConcurrent(t *testing.T) {
 }
 
 // The nil-path benchmarks guard the disabled-attribution overhead budget:
-// attribution off must cost one pointer nil check per device access, like
+// attribution off must cost one pointer nil check per device write, like
 // the other obs instruments (run with the obs-overhead CI job's regex).
 
 func BenchmarkNilAttribRecordWrite(b *testing.B) {
 	var a *Attrib
 	for i := 0; i < b.N; i++ {
-		a.RecordWrite(CausePersistFinal, int64(i), 1, 64)
+		a.RecordWrite(int64(i), 1)
 	}
 }
 
@@ -301,9 +308,9 @@ func BenchmarkNilAttribAddLogicalWrite(b *testing.B) {
 
 func BenchmarkAttribRecordWrite(b *testing.B) {
 	a := NewAttrib(0)
-	a.InitSpace(1 << 16)
+	a.Attach(1<<16, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.RecordWrite(CausePersistFinal, int64(i%(1<<16)), 1, 64)
+		a.RecordWrite(int64(i%(1<<16)), 1)
 	}
 }

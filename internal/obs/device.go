@@ -1,13 +1,9 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
-
 // DeviceObs carries the device-level instruments internal/nvm records into:
-// latency histograms for the read/write/flush/fence paths and a fence-stall
-// counter accumulating the nanoseconds spent draining fences. It makes the
+// latency histograms for the read/write/flush/fence paths. The fence
+// histogram's sum doubles as the fence-stall total, the nanoseconds spent
+// draining fences. It makes the
 // simulated DRAM:NVMM gap visible — charged latency shows up in these
 // histograms, not just in wall-clock totals.
 //
@@ -22,8 +18,6 @@ type DeviceObs struct {
 	Write *Hist // WriteAt / Zero / Store64 / Store32 / WriteFields
 	Flush *Hist // Flush calls that touched at least one line
 	Fence *Hist
-
-	fenceStall atomic.Int64 // nanoseconds spent inside Fence
 }
 
 // NewDeviceObs returns a device observer; on=false yields the
@@ -43,23 +37,16 @@ func NewDeviceObs(on bool) *DeviceObs {
 // device's hot paths make.
 func (o *DeviceObs) On() bool { return o != nil && o.on }
 
-// AddFenceStall accumulates fence-drain time.
-func (o *DeviceObs) AddFenceStall(d time.Duration) {
-	if o == nil {
-		return
-	}
-	o.fenceStall.Add(int64(d))
-}
-
-// FenceStallNanos returns the accumulated fence-drain nanoseconds.
+// FenceStallNanos returns the accumulated fence-drain nanoseconds: the sum
+// of the fence histogram.
 func (o *DeviceObs) FenceStallNanos() int64 {
 	if o == nil {
 		return 0
 	}
-	return o.fenceStall.Load()
+	return o.Fence.Snapshot().Sum
 }
 
-// Reset clears the device histograms and the fence-stall counter.
+// Reset clears the device histograms.
 func (o *DeviceObs) Reset() {
 	if o == nil {
 		return
@@ -68,7 +55,6 @@ func (o *DeviceObs) Reset() {
 	o.Write.Reset()
 	o.Flush.Reset()
 	o.Fence.Reset()
-	o.fenceStall.Store(0)
 }
 
 // DeviceJSON is the serving form of the device observer.
@@ -86,11 +72,12 @@ func (o *DeviceObs) JSON() *DeviceJSON {
 	if !o.On() {
 		return nil
 	}
+	fence := o.Fence.Snapshot()
 	return &DeviceJSON{
 		Read:            o.Read.Snapshot().JSON(),
 		Write:           o.Write.Snapshot().JSON(),
 		Flush:           o.Flush.Snapshot().JSON(),
-		Fence:           o.Fence.Snapshot().JSON(),
-		FenceStallNanos: o.FenceStallNanos(),
+		Fence:           fence.JSON(),
+		FenceStallNanos: fence.Sum,
 	}
 }

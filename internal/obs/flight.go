@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -139,44 +138,11 @@ func (e FlightEvent) Describe() string {
 // which is fine — they are serialized by the epoch loop anyway.
 const flightStripes = 8
 
-// flightRing is one stripe. Like the span tracer's rings, records and reads
-// are serialized by a per-stripe mutex: the record path is effectively
-// single-writer per stripe and events are per-epoch scale, so the lock is
-// uncontended where it matters and keeps Dump-under-load exact.
-type flightRing struct {
-	mu      sync.Mutex
-	events  []FlightEvent
-	next    int
-	wrapped bool
-	_       [40]byte
-}
-
-func (r *flightRing) record(e FlightEvent) {
-	r.mu.Lock()
-	r.events[r.next] = e
-	r.next++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.wrapped = true
-	}
-	r.mu.Unlock()
-}
-
-func (r *flightRing) collect(out []FlightEvent) []FlightEvent {
-	r.mu.Lock()
-	if r.wrapped {
-		out = append(out, r.events[r.next:]...)
-	}
-	out = append(out, r.events[:r.next]...)
-	r.mu.Unlock()
-	return out
-}
-
 // Flight is the recorder. Recording into a nil *Flight is a no-op, so
 // engine call sites stay unconditional.
 type Flight struct {
-	rings  [flightStripes]flightRing
-	crashW io.Writer // destination of DumpOnCrash; os.Stderr by default
+	rings  []ring[FlightEvent] // flightStripes of them
+	crashW io.Writer           // destination of DumpOnCrash; os.Stderr by default
 }
 
 // NewFlight returns a recorder retaining up to perStripe events in each of
@@ -185,11 +151,7 @@ func NewFlight(perStripe int) *Flight {
 	if perStripe <= 0 {
 		perStripe = 2048
 	}
-	f := &Flight{crashW: os.Stderr}
-	for i := range f.rings {
-		f.rings[i].events = make([]FlightEvent, perStripe)
-	}
-	return f
+	return &Flight{rings: newRings[FlightEvent](flightStripes, perStripe), crashW: os.Stderr}
 }
 
 // SetCrashWriter redirects DumpOnCrash output (tests use a buffer).
@@ -219,13 +181,7 @@ func (f *Flight) Reset() {
 	if f == nil {
 		return
 	}
-	for i := range f.rings {
-		r := &f.rings[i]
-		r.mu.Lock()
-		r.next = 0
-		r.wrapped = false
-		r.mu.Unlock()
-	}
+	resetRings(f.rings)
 }
 
 // Events returns the retained events with TS >= since (all when since <= 0),
@@ -234,10 +190,7 @@ func (f *Flight) Events(since int64) []FlightEvent {
 	if f == nil {
 		return nil
 	}
-	var all []FlightEvent
-	for i := range f.rings {
-		all = f.rings[i].collect(all)
-	}
+	all := collectRings(f.rings)
 	kept := all[:0]
 	for _, e := range all {
 		if e.TS != 0 && e.TS >= since {

@@ -17,7 +17,6 @@ func testObs() *Obs {
 	o.ObserveTxn(1, 60*time.Microsecond)
 	o.Span(0, 3, PhaseMinorGC, time.Now().Add(-time.Microsecond))
 	o.Device().Fence.Observe(time.Microsecond)
-	o.Device().AddFenceStall(time.Microsecond)
 	return o
 }
 
@@ -88,10 +87,11 @@ func TestHandlerEndpoints(t *testing.T) {
 	// Attrib endpoint serves the attribution payload when the instrument is
 	// attached.
 	ao := New(Config{Attrib: true})
-	ao.Attrib().InitSpace(128)
+	var table [NumCauses]CauseCounts
+	table[CauseWALAppend] = CauseCounts{LineWrites: 2, BytesWritten: 100, Flushes: 1}
+	ao.Attrib().Attach(128, func() [NumCauses]CauseCounts { return table })
 	ao.Attrib().SetRegions([]Region{{Name: "wal", Off: 0, Len: 64 * 128}})
-	ao.Attrib().RecordWrite(CauseWALAppend, 3, 2, 100)
-	ao.Attrib().RecordFlush(CauseWALAppend, 3)
+	ao.Attrib().RecordWrite(3, 2)
 	ah := NewHandler(ao)
 	rec = httptest.NewRecorder()
 	ah.ServeHTTP(rec, httptest.NewRequest("GET", AttribPath, nil))

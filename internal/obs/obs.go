@@ -28,23 +28,19 @@ type Config struct {
 	Trace bool
 	// TraceSpansPerCore caps each per-core span ring (default 4096).
 	TraceSpansPerCore int
-	// Device enables device-level latency histograms and the fence-stall
-	// counter; wire the result to the device with nvm.WithObserver.
+	// Device enables device-level latency histograms (the fence histogram's
+	// sum is the fence-stall total); wire the result to the device with
+	// nvm.WithObserver.
 	Device bool
-	// Attrib enables NVMM access attribution (per-cause counters, spatial
-	// heatmap, write-amplification accounting); wire the result to the
-	// device with nvm.WithAttrib.
+	// Attrib enables NVMM access attribution (the device's per-cause
+	// counts, a DefaultHeatBuckets spatial heatmap, write-amplification
+	// accounting); wire the result to the device with nvm.WithAttrib.
 	Attrib bool
-	// AttribHeatBuckets caps the attribution heatmap resolution
-	// (DefaultHeatBuckets when zero).
-	AttribHeatBuckets int
 	// TxnTrace enables sampled per-transaction lifecycle tracing.
 	TxnTrace bool
 	// TxnSampleEvery traces 1-in-N transactions (default
 	// DefaultTxnSampleEvery; 1 traces everything).
 	TxnSampleEvery int
-	// TxnSpansPerCore caps each per-core txn-span ring (default 1024).
-	TxnSpansPerCore int
 	// FlightPerStripe caps each flight-recorder stripe (default 2048). The
 	// flight recorder itself is always on: any Obs carries one.
 	FlightPerStripe int
@@ -109,11 +105,11 @@ func New(cfg Config) *Obs {
 		o.dev = NewDeviceObs(true)
 	}
 	if cfg.Attrib {
-		o.attrib = NewAttrib(cfg.AttribHeatBuckets)
+		o.attrib = NewAttrib(DefaultHeatBuckets)
 	}
 	o.flight = NewFlight(cfg.FlightPerStripe)
 	if cfg.TxnTrace {
-		o.txns = NewTxnTrace(cfg.Cores, cfg.TxnSampleEvery, cfg.TxnSpansPerCore)
+		o.txns = NewTxnTrace(cfg.Cores, cfg.TxnSampleEvery, 0)
 	}
 	o.watchCfg = cfg.Watch
 	return o

@@ -21,12 +21,12 @@ func buildPromObs(t *testing.T) *Obs {
 	d.Write.Observe(400 * time.Nanosecond)
 	d.Flush.Observe(600 * time.Nanosecond)
 	d.Fence.Observe(800 * time.Nanosecond)
-	d.AddFenceStall(time.Microsecond)
 	a := o.Attrib()
-	a.InitSpace(1024)
-	a.RecordWrite(CauseWALAppend, 1, 2, 128)
-	a.RecordFlush(CauseWALAppend, 1)
-	a.RecordFence(CausePersistFinal)
+	var table [NumCauses]CauseCounts
+	table[CauseWALAppend] = CauseCounts{LineWrites: 2, BytesWritten: 128, Flushes: 1}
+	table[CausePersistFinal] = CauseCounts{Fences: 1}
+	a.Attach(1024, func() [NumCauses]CauseCounts { return table })
+	a.RecordWrite(1, 2)
 	a.AddLogicalWrite(0, 64, 1)
 	a.AddCommitted(0, 64)
 	sp := o.TxnTrace().Sample()

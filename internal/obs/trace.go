@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -56,42 +55,10 @@ type Span struct {
 	Dur   int64 // nanoseconds
 }
 
-// traceRing is one core's fixed-size span ring. Records and snapshot reads
-// are serialized by a per-ring mutex; rings are effectively single-writer
-// (one engine worker), so the lock is uncontended on the record path.
-type traceRing struct {
-	mu      sync.Mutex
-	spans   []Span
-	next    int
-	wrapped bool
-	_       [40]byte // keep neighbouring rings off each other's line
-}
-
-func (r *traceRing) record(s Span) {
-	r.mu.Lock()
-	r.spans[r.next] = s
-	r.next++
-	if r.next == len(r.spans) {
-		r.next = 0
-		r.wrapped = true
-	}
-	r.mu.Unlock()
-}
-
-func (r *traceRing) collect(out []Span) []Span {
-	r.mu.Lock()
-	if r.wrapped {
-		out = append(out, r.spans[r.next:]...)
-	}
-	out = append(out, r.spans[:r.next]...)
-	r.mu.Unlock()
-	return out
-}
-
 // Tracer keeps one fixed-size span ring per worker core plus one for the
 // epoch coordinator. Recording into a nil *Tracer is a no-op.
 type Tracer struct {
-	rings []traceRing // [0..cores-1] workers, [cores] coordinator
+	rings []ring[Span] // [0..cores-1] workers, [cores] coordinator
 }
 
 // NewTracer returns a tracer for the given worker-core count holding up to
@@ -103,11 +70,7 @@ func NewTracer(cores, spansPerCore int) *Tracer {
 	if spansPerCore <= 0 {
 		spansPerCore = 4096
 	}
-	t := &Tracer{rings: make([]traceRing, cores+1)}
-	for i := range t.rings {
-		t.rings[i].spans = make([]Span, spansPerCore)
-	}
-	return t
+	return &Tracer{rings: newRings[Span](cores+1, spansPerCore)}
 }
 
 // Reset discards every retained span.
@@ -115,13 +78,7 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	for i := range t.rings {
-		r := &t.rings[i]
-		r.mu.Lock()
-		r.next = 0
-		r.wrapped = false
-		r.mu.Unlock()
-	}
+	resetRings(t.rings)
 }
 
 // Record stores one span. core selects the ring: worker cores index their
@@ -151,10 +108,7 @@ func (t *Tracer) Spans(n int) []Span {
 	if t == nil {
 		return nil
 	}
-	var all []Span
-	for i := range t.rings {
-		all = t.rings[i].collect(all)
-	}
+	all := collectRings(t.rings)
 	if n > 0 {
 		var maxEpoch uint64
 		for _, s := range all {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -145,36 +144,6 @@ func (s TxnSpan) Total() int64 {
 	return total
 }
 
-// txnRing is one core's publish ring, same discipline as traceRing.
-type txnRing struct {
-	mu      sync.Mutex
-	spans   []TxnSpan
-	next    int
-	wrapped bool
-	_       [40]byte
-}
-
-func (r *txnRing) record(s TxnSpan) {
-	r.mu.Lock()
-	r.spans[r.next] = s
-	r.next++
-	if r.next == len(r.spans) {
-		r.next = 0
-		r.wrapped = true
-	}
-	r.mu.Unlock()
-}
-
-func (r *txnRing) collect(out []TxnSpan) []TxnSpan {
-	r.mu.Lock()
-	if r.wrapped {
-		out = append(out, r.spans[r.next:]...)
-	}
-	out = append(out, r.spans[:r.next]...)
-	r.mu.Unlock()
-	return out
-}
-
 // DefaultTxnSampleEvery is the default sampling period: 1 in 64.
 const DefaultTxnSampleEvery = 64
 
@@ -185,7 +154,7 @@ type TxnTrace struct {
 	counter   atomic.Uint64
 	sampled   atomic.Uint64
 	published atomic.Uint64
-	rings     []txnRing // [0..cores-1] workers, [cores] coordinator/unknown
+	rings     []ring[TxnSpan] // [0..cores-1] workers, [cores] coordinator/unknown
 }
 
 // NewTxnTrace returns a tracer sampling 1-in-every transactions (default
@@ -201,11 +170,7 @@ func NewTxnTrace(cores, every, perCore int) *TxnTrace {
 	if perCore <= 0 {
 		perCore = 1024
 	}
-	t := &TxnTrace{every: uint64(every), rings: make([]txnRing, cores+1)}
-	for i := range t.rings {
-		t.rings[i].spans = make([]TxnSpan, perCore)
-	}
-	return t
+	return &TxnTrace{every: uint64(every), rings: newRings[TxnSpan](cores+1, perCore)}
 }
 
 // SampleEvery returns the sampling period N (0 when t is nil).
@@ -232,7 +197,9 @@ func (t *TxnTrace) Sample() *TxnSpan {
 }
 
 // Publish retires a completed span into its core's ring. Nil spans (the
-// unsampled majority) are ignored, so call sites stay unconditional.
+// unsampled majority) are ignored, so call sites stay unconditional. The
+// span is counted before it is recorded, so PublishedCount read after
+// Spans is never below the number of spans served.
 func (t *TxnTrace) Publish(s *TxnSpan) {
 	if t == nil || s == nil {
 		return
@@ -242,8 +209,8 @@ func (t *TxnTrace) Publish(s *TxnSpan) {
 	if idx < 0 || idx >= workers {
 		idx = workers
 	}
-	t.rings[idx].record(*s)
 	t.published.Add(1)
+	t.rings[idx].record(*s)
 }
 
 // SampledCount returns how many transactions were selected for tracing.
@@ -270,13 +237,7 @@ func (t *TxnTrace) Reset() {
 	}
 	t.sampled.Store(0)
 	t.published.Store(0)
-	for i := range t.rings {
-		r := &t.rings[i]
-		r.mu.Lock()
-		r.next = 0
-		r.wrapped = false
-		r.mu.Unlock()
-	}
+	resetRings(t.rings)
 }
 
 // Spans returns the retained spans ordered by epoch then SID. Slots never
@@ -285,10 +246,7 @@ func (t *TxnTrace) Spans() []TxnSpan {
 	if t == nil {
 		return nil
 	}
-	var all []TxnSpan
-	for i := range t.rings {
-		all = t.rings[i].collect(all)
-	}
+	all := collectRings(t.rings)
 	kept := all[:0]
 	for _, s := range all {
 		if s.SubmitNS != 0 || s.AssignNS != 0 || s.ExecStart != 0 {
