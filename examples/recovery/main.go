@@ -107,29 +107,41 @@ func main() {
 		return batch, shadow
 	}
 
-	// Two committed epochs.
+	// Two committed epochs. The second one's write-back count sizes the
+	// fail-point below.
+	var epochFlushes int64
 	for i := 0; i < 2; i++ {
 		batch, shadow := genEpoch()
+		before := dev.Stats().Flushes
 		if _, err := db.RunEpoch(batch); err != nil {
 			log.Fatal(err)
 		}
+		epochFlushes = dev.Stats().Flushes - before
 		model = shadow
 	}
 	fmt.Printf("committed %d epochs\n", db.Epoch())
 
-	// Doom the next epoch with a fail-point deep enough that the input log
-	// commits but the epoch checkpoint does not.
+	// Doom the next epoch with a fail-point halfway through a committed
+	// epoch's write-backs: deep enough that the input log commits, short of
+	// the epoch checkpoint.
 	batch, shadow := genEpoch()
 	fmt.Println("arming fail-point and running the doomed epoch...")
+	fired := false
 	func() {
 		defer func() {
-			if r := recover(); r != nil && r != nvcaracal.ErrInjectedCrash {
-				panic(r)
+			if r := recover(); r != nil {
+				if r != nvcaracal.ErrInjectedCrash {
+					panic(r)
+				}
+				fired = true
 			}
 		}()
-		dev.SetFailAfter(500)
+		dev.SetFailAfter(epochFlushes / 2)
 		db.RunEpoch(batch)
 	}()
+	if !fired {
+		log.Fatalf("the fail-point after %d of ~%d write-backs did not fire", epochFlushes/2, epochFlushes)
+	}
 	dev.Crash(nvcaracal.CrashStrict, 99)
 	fmt.Println("power failed mid-epoch; recovering...")
 

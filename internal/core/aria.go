@@ -334,7 +334,7 @@ func (db *DB) ariaApply(owner int, epoch uint64, key index.Key, sid uint64, w ar
 			return // deleting a nonexistent row is a no-op
 		}
 		db.met.At(owner).AddPersistent()
-		db.dropRow(owner, rs)
+		db.dropRow(owner, rs, false)
 		return
 	}
 	if !exists {

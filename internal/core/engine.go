@@ -368,9 +368,11 @@ func (db *DB) RunEpoch(batch []*Txn) (EpochResult, error) {
 }
 
 // initFence issues the epoch's single initialization fence: one ordering
-// point committing the input log, the insert step's row headers, and the
-// major collector's free-ring entries together, before GC phase 2 or the
-// execution phase overwrites anything they cover. Replacing the per-source
+// point committing the input log and the major collector's free-ring
+// entries together, before GC phase 2 or the execution phase overwrites
+// anything they cover. The insert step's row headers are stored without a
+// write-back; each row's final write (or drop) writes its header line back
+// before the checkpoint fence. Replacing the per-source
 // fences (log, GC ring, GC tail) with this one barrier is the fence diet's
 // init-phase half; the fence is attributed to the cause that required it.
 // When neither the log nor the collector wrote anything, nothing downstream

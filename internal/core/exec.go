@@ -145,7 +145,7 @@ func (db *DB) finalize(core int, rs *rowState, va *versionArray, slot int) {
 		case vkNotFound:
 			// The row was inserted this epoch and every write (including
 			// the insert) aborted: the row must not exist.
-			db.dropRow(core, rs)
+			db.dropRow(core, rs, true)
 		}
 		return
 	}
@@ -153,7 +153,7 @@ func (db *DB) finalize(core int, rs *rowState, va *versionArray, slot int) {
 	switch vv.kind {
 	case vkDeleted:
 		db.met.At(core).AddPersistent()
-		db.dropRow(core, rs)
+		db.dropRow(core, rs, va.vals[0].Load().kind == vkNotFound)
 	case vkData:
 		db.met.At(core).AddPersistent()
 		data, _ := db.materialize(vv)
@@ -200,8 +200,13 @@ func (db *DB) installCached(core int, rs *rowState, data []byte, epoch uint64) {
 // freed into the executing core's pools (revertible: a crash before the
 // checkpoint replays the epoch and repeats the deletion), and the index
 // entry is removed at the epoch boundary so in-flight readers still
-// resolve.
-func (db *DB) dropRow(core int, rs *rowState) {
+// resolve. inserted marks a row inserted this epoch: its header line holds
+// the insert's unflushed store, and with no final write to carry it, the
+// drop writes the line back so no dirty line outlives the checkpoint.
+func (db *DB) dropRow(core int, rs *rowState, inserted bool) {
+	if inserted {
+		db.dev.Tag(obs.CauseAlloc).Flush(rs.nvOff, rowInline)
+	}
 	h := db.rowRefTag(rs.nvOff, obs.CausePersistFinal).header()
 	for _, v := range [2]version{h.v1, h.v2} {
 		if !v.isNull() && !v.isInline() && v.ptr != ptrNone {
@@ -252,10 +257,12 @@ func (db *DB) persistFinal(core int, rs *rowState, sid uint64, data []byte) {
 		if timed {
 			t0 = time.Now()
 		}
+		// No write-back here: writeFinal below stores v2 into the same
+		// header line and writes it back, with no fence between.
 		if minor {
-			r.retag(obs.CauseMinorGC).writeVersion(1, v2)
+			r.retag(obs.CauseMinorGC).storeVersion(1, v2, nil)
 		} else {
-			r.writeVersion(1, v2)
+			r.storeVersion(1, v2, nil)
 		}
 		if timed {
 			db.obs.Span(core, SIDEpoch(sid), obs.PhaseMinorGC, t0)

@@ -12,6 +12,10 @@ import (
 // majorGCFinish runs phase 2 (row rewrites).
 type majorGCState struct {
 	byOwner [][]*rowState
+	// v2s[owner][i] is byOwner[owner][i]'s second descriptor as phase 1
+	// read it. Nothing writes a queued row between the phases, so phase 2
+	// rewrites the row from it instead of reading the header again.
+	v2s     [][]version
 	pending bool
 	start   time.Time
 }
@@ -57,7 +61,7 @@ func (db *DB) majorGCBegin(epoch uint64) majorGCState {
 		}
 	}
 
-	st := majorGCState{byOwner: byOwner, pending: pending}
+	st := majorGCState{byOwner: byOwner, v2s: make([][]version, len(byOwner)), pending: pending}
 	// Only collections that actually rewrite rows get a span: an empty
 	// pending set is a queue check, not a GC.
 	if pending && db.obs.On() {
@@ -81,8 +85,12 @@ func (db *DB) majorGCBegin(epoch uint64) majorGCState {
 		// staging this core's pools; frees reopen per core as soon as its
 		// own staging token closes.
 		db.waitPoolStaged(owner)
-		for _, rs := range byOwner[owner] {
-			v1 := db.rowRefTag(rs.nvOff, obs.CauseMajorGC).header().v1
+		v2s := make([]version, len(byOwner[owner]))
+		st.v2s[owner] = v2s
+		for i, rs := range byOwner[owner] {
+			h := db.rowRefTag(rs.nvOff, obs.CauseMajorGC).header()
+			v1 := h.v1
+			v2s[i] = h.v2
 			if v1.isNull() || v1.isInline() || v1.ptr == ptrNone {
 				continue // inline staleness frees nothing
 			}
@@ -109,15 +117,17 @@ func (db *DB) majorGCFinish(epoch uint64, st majorGCState) {
 	}
 	defer db.opts.Prof.RegionNested(obs.PhaseMajorGC.String(), obs.PhaseInit.String())()
 	db.parallel(func(owner int) {
-		for _, rs := range st.byOwner[owner] {
-			r := db.rowRefTag(rs.nvOff, obs.CauseMajorGC)
-			v2 := r.header().v2
+		for i, rs := range st.byOwner[owner] {
+			v2 := st.v2s[owner][i]
 			if v2.isNull() {
 				// Already collected (replay of a crashed collection that
 				// completed this row).
 				continue
 			}
-			r.writeVersion(1, v2)
+			// One header write-back per row: resetVersion's flush covers
+			// the copy, which lands in the same line with no fence between.
+			r := db.rowRefTag(rs.nvOff, obs.CauseMajorGC)
+			r.storeVersion(1, v2, nil)
 			r.resetVersion(2)
 			db.met.At(owner).AddMajorGC()
 		}

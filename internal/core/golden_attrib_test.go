@@ -69,33 +69,33 @@ func attribGoldenCases() []attribGoldenCase {
 			name: "kv-nvcaracal-1core", cores: 1, mode: ModeNVCaracal, workload: goldenWorkload,
 			perCause: map[obs.Cause]obs.CauseCounts{
 				obs.CauseOther:        {LineReads: 805, LineWrites: 56, BytesRead: 51329, BytesWritten: 448, Flushes: 56},
-				obs.CausePersistFinal: {LineReads: 786, LineWrites: 4272, BytesRead: 50304, BytesWritten: 97393, Flushes: 2556, Fences: 14},
+				obs.CausePersistFinal: {LineReads: 786, LineWrites: 4272, BytesRead: 50304, BytesWritten: 97393, Flushes: 2389, Fences: 14},
 				obs.CauseWALAppend:    {LineReads: 0, LineWrites: 1508, BytesRead: 0, BytesWritten: 96097, Flushes: 1508, Fences: 7},
-				obs.CauseMinorGC:      {LineReads: 0, LineWrites: 657, BytesRead: 0, BytesWritten: 4380, Flushes: 219},
-				obs.CauseMajorGC:      {LineReads: 222, LineWrites: 666, BytesRead: 14208, BytesWritten: 4440, Flushes: 222},
-				obs.CauseAlloc:        {LineReads: 123, LineWrites: 734, BytesRead: 984, BytesWritten: 18416, Flushes: 307},
+				obs.CauseMinorGC:      {LineReads: 0, LineWrites: 657, BytesRead: 0, BytesWritten: 4380},
+				obs.CauseMajorGC:      {LineReads: 111, LineWrites: 666, BytesRead: 7104, BytesWritten: 4440, Flushes: 111},
+				obs.CauseAlloc:        {LineReads: 123, LineWrites: 500, BytesRead: 984, BytesWritten: 18416, Flushes: 83},
 			},
 		},
 		{
 			name: "kv-hybrid-2core", cores: 2, mode: ModeHybrid, workload: goldenWorkload,
 			perCause: map[obs.Cause]obs.CauseCounts{
 				obs.CauseOther:        {LineReads: 805, LineWrites: 56, BytesRead: 51329, BytesWritten: 448, Flushes: 56},
-				obs.CausePersistFinal: {LineReads: 786, LineWrites: 4272, BytesRead: 50304, BytesWritten: 97393, Flushes: 2556, Fences: 14},
+				obs.CausePersistFinal: {LineReads: 786, LineWrites: 4272, BytesRead: 50304, BytesWritten: 97393, Flushes: 2389, Fences: 14},
 				obs.CauseIntermediate: {LineReads: 0, LineWrites: 912, BytesRead: 0, BytesWritten: 31942, Flushes: 912},
-				obs.CauseMinorGC:      {LineReads: 0, LineWrites: 657, BytesRead: 0, BytesWritten: 4380, Flushes: 219},
-				obs.CauseMajorGC:      {LineReads: 222, LineWrites: 666, BytesRead: 14208, BytesWritten: 4440, Flushes: 222, Fences: 5},
-				obs.CauseAlloc:        {LineReads: 123, LineWrites: 776, BytesRead: 984, BytesWritten: 18752, Flushes: 336},
+				obs.CauseMinorGC:      {LineReads: 0, LineWrites: 657, BytesRead: 0, BytesWritten: 4380},
+				obs.CauseMajorGC:      {LineReads: 111, LineWrites: 666, BytesRead: 7104, BytesWritten: 4440, Flushes: 111, Fences: 5},
+				obs.CauseAlloc:        {LineReads: 123, LineWrites: 542, BytesRead: 984, BytesWritten: 18752, Flushes: 112},
 			},
 		},
 		{
 			name: "ycsb-nvcaracal-2core", cores: 2, mode: ModeNVCaracal, workload: ycsbGoldenWorkload,
 			perCause: map[obs.Cause]obs.CauseCounts{
 				obs.CauseOther:        {LineReads: 1184, LineWrites: 48, BytesRead: 75659, BytesWritten: 384, Flushes: 48},
-				obs.CausePersistFinal: {LineReads: 1175, LineWrites: 7227, BytesRead: 75200, BytesWritten: 169613, Flushes: 4291, Fences: 12},
+				obs.CausePersistFinal: {LineReads: 1175, LineWrites: 7227, BytesRead: 75200, BytesWritten: 169613, Flushes: 3998, Fences: 12},
 				obs.CauseWALAppend:    {LineReads: 0, LineWrites: 2652, BytesRead: 0, BytesWritten: 169273, Flushes: 2652, Fences: 6},
-				obs.CauseMinorGC:      {LineReads: 0, LineWrites: 684, BytesRead: 0, BytesWritten: 4560, Flushes: 228},
-				obs.CauseMajorGC:      {LineReads: 872, LineWrites: 2616, BytesRead: 55808, BytesWritten: 17440, Flushes: 872},
-				obs.CauseAlloc:        {LineReads: 316, LineWrites: 1244, BytesRead: 2528, BytesWritten: 26752, Flushes: 438},
+				obs.CauseMinorGC:      {LineReads: 0, LineWrites: 684, BytesRead: 0, BytesWritten: 4560},
+				obs.CauseMajorGC:      {LineReads: 436, LineWrites: 2616, BytesRead: 27904, BytesWritten: 17440, Flushes: 436},
+				obs.CauseAlloc:        {LineReads: 316, LineWrites: 808, BytesRead: 2528, BytesWritten: 26752, Flushes: 138},
 			},
 		},
 	}

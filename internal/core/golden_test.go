@@ -40,22 +40,22 @@ func goldenCases() []goldenCase {
 	return []goldenCase{
 		{
 			name: "nvcaracal-1core", cores: 1, mode: ModeNVCaracal,
-			stats: nvm.Stats{LineReads: 1936, LineWrites: 7893, BytesRead: 116825, BytesWritten: 221174, Flushes: 4868, Fences: 21, LinesFenced: 4275},
+			stats: nvm.Stats{LineReads: 1825, LineWrites: 7659, BytesRead: 109721, BytesWritten: 221174, Flushes: 4147, Fences: 21, LinesFenced: 4051},
 			met:   goldenMetrics{TxnsCommitted: 1210, TxnsAborted: 15, Epochs: 7, TransientVersions: 425, PersistentVersions: 786, RowReads: 5, CacheHits: 562, CacheMisses: 5, CacheBytes: 15389, CacheEntries: 126, MinorGCs: 219, MajorGCs: 111},
 		},
 		{
 			name: "nvcaracal-4core", cores: 4, mode: ModeNVCaracal,
-			stats: nvm.Stats{LineReads: 1935, LineWrites: 8019, BytesRead: 116817, BytesWritten: 222182, Flushes: 4937, Fences: 21, LinesFenced: 4344},
+			stats: nvm.Stats{LineReads: 1824, LineWrites: 7785, BytesRead: 109713, BytesWritten: 222182, Flushes: 4216, Fences: 21, LinesFenced: 4120},
 			met:   goldenMetrics{TxnsCommitted: 1210, TxnsAborted: 15, Epochs: 7, TransientVersions: 425, PersistentVersions: 786, RowReads: 5, CacheHits: 562, CacheMisses: 5, CacheBytes: 15389, CacheEntries: 126, MinorGCs: 219, MajorGCs: 111},
 		},
 		{
 			name: "hybrid-2core", cores: 2, mode: ModeHybrid,
-			stats: nvm.Stats{LineReads: 1936, LineWrites: 7339, BytesRead: 116825, BytesWritten: 157355, Flushes: 4301, Fences: 19, LinesFenced: 3101},
+			stats: nvm.Stats{LineReads: 1825, LineWrites: 7105, BytesRead: 109721, BytesWritten: 157355, Flushes: 3580, Fences: 19, LinesFenced: 3077},
 			met:   goldenMetrics{TxnsCommitted: 1210, TxnsAborted: 15, Epochs: 7, TransientVersions: 425, PersistentVersions: 786, RowReads: 5, CacheHits: 562, CacheMisses: 5, CacheBytes: 15389, CacheEntries: 126, MinorGCs: 219, MajorGCs: 111},
 		},
 		{
 			name: "all-nvmm-2core", cores: 2, mode: ModeAllNVMM,
-			stats: nvm.Stats{LineReads: 6104, LineWrites: 10829, BytesRead: 294999, BytesWritten: 302512, Flushes: 7791, Fences: 19, LinesFenced: 5370},
+			stats: nvm.Stats{LineReads: 5993, LineWrites: 10595, BytesRead: 287895, BytesWritten: 302512, Flushes: 7070, Fences: 19, LinesFenced: 5346},
 			met:   goldenMetrics{TxnsCommitted: 1210, TxnsAborted: 15, Epochs: 7, TransientVersions: 425, PersistentVersions: 786, RowReads: 567, CacheHits: 0, CacheMisses: 567, CacheBytes: 0, CacheEntries: 0, MinorGCs: 219, MajorGCs: 111},
 		},
 	}

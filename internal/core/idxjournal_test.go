@@ -66,7 +66,10 @@ func TestJournalRecoverySkipsScan(t *testing.T) {
 func TestJournalRecoveryMatchesScanRecovery(t *testing.T) {
 	// Run the identical schedule against a journal DB and a scan DB,
 	// crash both at the same fail-point, and require identical recovered
-	// state.
+	// state. The fail points spread over the write-backs the scan variant
+	// issues in the crashed epoch, measured by a crash-free run, so each
+	// one fires inside the epoch in both variants whatever the engine's
+	// write-back count.
 	type variant struct {
 		opts Options
 		dev  *nvm.Device
@@ -84,28 +87,46 @@ func TestJournalRecoveryMatchesScanRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var load []*Txn
+		for i := uint64(0); i < 20; i++ {
+			load = append(load, mkInsert(i, []byte{byte(i)}))
+		}
+		mustRun(t, db, load)
+		mustRun(t, db, []*Txn{mkSet(3, bigVal('q'))}) // non-inline + GC queue
 		return &variant{opts: opts, dev: dev, db: db}
 	}
-	for _, failAfter := range []int64{3, 9, 17, 31} {
+	batch := func() []*Txn {
+		return []*Txn{mkRMW(0, 'a'), mkRMW(0, 'b'), mkSet(3, bigVal('r')), mkDelete(5), mkInsert(90, []byte("new"))}
+	}
+
+	dry := mk(false)
+	before := dry.dev.Stats().Flushes
+	mustRun(t, dry.db, batch())
+	n := dry.dev.Stats().Flushes - before
+	if n < 8 {
+		t.Fatalf("crashed epoch issues %d write-backs; the schedule needs more to spread fail points over", n)
+	}
+	for _, failAfter := range []int64{1, n / 4, n / 2, 3 * n / 4, n} {
 		vs := []*variant{mk(false), mk(true)}
-		for _, v := range vs {
-			var load []*Txn
-			for i := uint64(0); i < 20; i++ {
-				load = append(load, mkInsert(i, []byte{byte(i)}))
-			}
-			mustRun(t, v.db, load)
-			mustRun(t, v.db, []*Txn{mkSet(3, bigVal('q'))}) // non-inline + GC queue
-			batch := []*Txn{mkRMW(0, 'a'), mkRMW(0, 'b'), mkSet(3, bigVal('r')), mkDelete(5), mkInsert(90, []byte("new"))}
+		for i, v := range vs {
+			fired := false
 			func() {
 				defer func() {
-					if r := recover(); r != nil && r != nvm.ErrInjectedCrash {
-						panic(r)
+					if r := recover(); r != nil {
+						if r != nvm.ErrInjectedCrash {
+							panic(r)
+						}
+						fired = true
 					}
 				}()
 				v.dev.SetFailAfter(failAfter)
-				v.db.RunEpoch(batch)
-				v.dev.SetFailAfter(0)
+				v.db.RunEpoch(batch())
 			}()
+			v.dev.SetFailAfter(0)
+			if !fired {
+				t.Fatalf("failAfter=%d of %d: fail point did not fire in variant %d (journal=%v)",
+					failAfter, n, i, v.opts.PersistIndex)
+			}
 			v.dev.Crash(nvm.CrashStrict, failAfter)
 		}
 		dbScan, repScan, err := Recover(vs[0].dev, vs[0].opts)

@@ -93,14 +93,16 @@ func (r rowRef) valueOff(v version) int64 {
 
 // writeHeader initializes a freshly allocated row: table, key, and both
 // version descriptors cleared (the slot may be recycled and hold stale
-// descriptors). One line store + flush; durability comes from the epoch
-// fence.
+// descriptors). One line store and no write-back: the row's last header
+// store of the epoch — its final write, or the drop of an insert that never
+// got one — writes the line back, and recovery never reads a row the
+// crashed epoch allocated (the scan stops at the checkpointed bump and
+// skips free-list slots).
 func (r rowRef) writeHeader(table uint32, key uint64) {
 	var line [rowInline]byte
 	putU32(line[rowHdrTable:], table)
 	putU64(line[rowHdrKey:], key)
 	r.dev.WriteAt(line[:], r.off)
-	r.dev.Flush(r.off, rowInline)
 }
 
 func (r rowRef) verOff(which int) int64 {
@@ -181,21 +183,29 @@ func versionFields(off int64, sid, ptr, size []byte) []nvm.FieldWrite {
 	}
 }
 
-// writeVersion stores a descriptor with the crash-consistency ordering of
+// storeVersion stores a descriptor with the crash-consistency ordering of
 // §4.5: the SID is stored before the pointer, so a partial write-back is
-// detectable by comparing SIDs. The line is flushed afterwards; the fence
-// comes from the epoch boundary (or replay makes the outcome irrelevant).
-// The three field stores and the flush go through one vectored device call;
-// WriteFields preserves field store order, so the SID-first protocol holds.
-func (r rowRef) writeVersion(which int, v version) {
+// detectable by comparing SIDs. The three field stores and the given
+// flushes go through one vectored device call; WriteFields preserves field
+// store order, so the SID-first protocol holds. A caller passes no flushes
+// when a later store to the header line follows in the same epoch with no
+// fence between: that store's write-back supersedes this one, which would
+// order nothing.
+func (r rowRef) storeVersion(which int, v version, flushes []nvm.Range) {
 	off := r.verOff(which)
 	var sid, ptr [8]byte
 	var size [4]byte
 	putU64(sid[:], v.sid)
 	putU64(ptr[:], v.ptr)
 	putU32(size[:], v.size)
-	r.dev.WriteFields(versionFields(off, sid[:], ptr[:], size[:]),
-		[]nvm.Range{{Off: r.off, N: rowInline}})
+	r.dev.WriteFields(versionFields(off, sid[:], ptr[:], size[:]), flushes)
+}
+
+// writeVersion is storeVersion followed by the header line's write-back;
+// the fence comes from the epoch boundary (or replay makes the outcome
+// irrelevant).
+func (r rowRef) writeVersion(which int, v version) {
+	r.storeVersion(which, v, []nvm.Range{{Off: r.off, N: rowInline}})
 }
 
 // resetVersion nulls a descriptor, SID first (repair case 2 relies on
@@ -220,24 +230,16 @@ func (r rowRef) readValueInto(v version, dst []byte) {
 	}
 }
 
-// writeValue stores data at the location a descriptor with (ptr,size) will
-// reference, flushing the touched lines.
-func (r rowRef) writeValue(ptr uint64, data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	off := r.valueOff(version{ptr: ptr, size: uint32(len(data))})
-	r.dev.WriteAt(data, off)
-	r.dev.Flush(off, int64(len(data)))
-}
-
 // writeFinal is the vectored hot path of persistFinal: the value bytes, the
 // v2 descriptor fields, and both flushes go to the device as one call. The
 // value lines (inline heap or value pool) are disjoint from the descriptor
 // line, and the field order keeps every individual store and flush exactly
-// where the unvectored sequence (writeValue then writeVersion) put it, so
-// access counters, chaos-eviction rolls, and fail-point positions are
-// unchanged — the call only drops the per-operation device round trips.
+// where an unvectored sequence (store and flush the value, then
+// writeVersion) would put it, so access counters, chaos-eviction rolls, and
+// fail-point positions match it — the call only drops the per-operation
+// device round trips. Its header flush is the row's one header write-back
+// of the epoch: the insert's header and persistFinal's v2→v1 move are
+// stored without one.
 func (r rowRef) writeFinal(sid uint64, ptr uint64, data []byte) {
 	off := r.verOff(2)
 	var sidB, ptrB [8]byte

@@ -88,8 +88,8 @@ func TestInlineSlotsDoNotOverlap(t *testing.T) {
 	half := int(r.inlineHalf())
 	va := version{ptr: ptrInlineA, size: uint32(half)}
 	vb := version{ptr: ptrInlineB, size: uint32(half)}
-	r.writeValue(ptrInlineA, bytes.Repeat([]byte{0xAA}, half))
-	r.writeValue(ptrInlineB, bytes.Repeat([]byte{0xBB}, half))
+	r.writeFinal(1, ptrInlineA, bytes.Repeat([]byte{0xAA}, half))
+	r.writeFinal(2, ptrInlineB, bytes.Repeat([]byte{0xBB}, half))
 	if !bytes.Equal(r.readValue(va), bytes.Repeat([]byte{0xAA}, half)) {
 		t.Fatal("slot A corrupted by slot B write")
 	}
@@ -208,7 +208,7 @@ func TestValueRoundTripNonInline(t *testing.T) {
 	r, _ := newRowRef(t, 256)
 	data := []byte("external value data")
 	ptr := uint64(768) // elsewhere on the device
-	r.writeValue(ptr, data)
+	r.writeFinal(1, ptr, data)
 	v := version{sid: 1, ptr: ptr, size: uint32(len(data))}
 	if !bytes.Equal(r.readValue(v), data) {
 		t.Fatal("non-inline value corrupted")

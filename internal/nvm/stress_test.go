@@ -156,7 +156,8 @@ func TestWriteFieldsCounterEquivalence(t *testing.T) {
 			b := New(1 << 20)
 			val := mkVal(tc.value)
 
-			// Device a: the unvectored sequence (writeValue + writeVersion).
+			// Device a: the unvectored sequence (value store and flush, then
+			// the descriptor stores and header flush).
 			if len(val) > 0 {
 				a.WriteAt(val, 1024)
 				a.Flush(1024, int64(len(val)))

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -195,9 +196,12 @@ func (p *Pool) appendEntry(kind byte, epoch uint64, off int64) {
 		// pool was sized too small for the workload's churn.
 		panic(fmt.Sprintf("pmem: free-list ring overflow (cap %d)", p.ringCap))
 	}
-	slot := p.ringSlotOff(p.tail)
-	p.dev.Store64(slot, uint64(off))
-	p.dev.Store64(slot+8, entryStamp(kind, p.tail, epoch, off))
+	// One 16-byte store: an entry never straddles a line, and the stamp
+	// already rejects one whose offset and stamp did not land together.
+	var e [ringStride]byte
+	binary.LittleEndian.PutUint64(e[:8], uint64(off))
+	binary.LittleEndian.PutUint64(e[8:], entryStamp(kind, p.tail, epoch, off))
+	p.dev.WriteAt(e[:], p.ringSlotOff(p.tail))
 	p.tail++
 }
 
