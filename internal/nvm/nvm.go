@@ -7,9 +7,9 @@
 //
 //   - Stores (WriteAt and friends) update the "live" image, the bytes that
 //     loads observe, and mark the touched lines dirty.
-//   - Flush (CLWB/CLFLUSHOPT) snapshots the current content of a line into a
-//     staging area. The snapshot is not yet durable.
-//   - Fence (SFENCE) commits all staged snapshots to the durable image.
+//   - Flush (CLWB/CLFLUSHOPT) issues a write-back of a line's current
+//     content. The write-back is not yet durable.
+//   - Fence (SFENCE) makes every write-back issued before it durable.
 //
 // Crash discards the live image and rebuilds it from the durable image,
 // optionally letting some un-fenced lines survive (CrashRandom) the way a
@@ -21,22 +21,33 @@
 // configurable latency per line read/write so that benchmark results
 // reproduce the DRAM/NVMM performance gap of real hardware.
 //
-// # Concurrency design
+// # Write-backs by generation
 //
-// The engine's scalability curves are only meaningful if the simulator's
-// own synchronization stays off the hot path, so durability metadata is
-// tracked per line in an atomic state word over preallocated arrays:
+// The device keeps three full-size images — live, staging and durable — and
+// a fence generation. Each line has an atomic state word: dirty, staged and
+// busy flags plus the generation its write-back was issued in. A write-back
+// issued in a generation older than the device's is durable, so a fence is
+// a generation bump and does no per-line work. The durable image takes a
+// line lazily, when the line is next stored, flushed or crashed:
 //
-//   - Stores mark lines dirty with a lock-free CAS; no mutex is taken.
-//   - Flush snapshots the line into a preallocated staging image (no
-//     allocation) and records the line once in a striped touched-line
-//     journal, so Fence commits exactly the flushed lines instead of
-//     sweeping every possible line under a global lock.
-//   - Access statistics go to counter cells striped by line and split by
-//     the access's obs.Cause, folded on Stats(), so concurrent workers do
-//     not contend on one cache line of counters. The per-cause split is
-//     the device's only count of its traffic; attribution reads it rather
-//     than counting again.
+//   - Flush moves a dirty line to staged in the current generation with one
+//     CAS and copies nothing. The write-back's content is the live line.
+//   - A store to a line staged and clean first preserves the write-back: if
+//     its generation is fenced, the live line is copied into durable and
+//     the line becomes clean; if not, the live line is copied into staging,
+//     which holds the write-back from then on.
+//   - Flushing a line whose fenced write-back still sits in staging copies
+//     staging into durable before staging the line again.
+//   - Crash first moves every fenced write-back into durable, then applies
+//     the crash mode to the lines still dirty or staged in the current
+//     generation.
+//
+// Stores mark lines dirty with a lock-free CAS; a goroutine that finds a
+// line busy (another goroutine copying it between images) yields. Access
+// statistics go to counter cells striped by line and split by the access's
+// obs.Cause, folded on Stats(), so concurrent workers do not contend on one
+// cache line of counters. The per-cause split is the device's only count of
+// its traffic; attribution reads it rather than counting again.
 //
 // The device is safe for concurrent use provided concurrent accesses do not
 // overlap byte ranges (the same discipline real memory requires). Crash
@@ -47,8 +58,8 @@ package nvm
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,26 +71,28 @@ import (
 // durability tracking.
 const LineSize = 64
 
-// stripeCount is the number of journal stripes (and their locks) sharding
-// the flushed-line journals. Stores never take these locks; only Flush,
-// Fence, and chaos evictions do, and only for the stripe of the line. At
-// most 64: Device.occupied keeps one bit per stripe.
-const stripeCount = 64
-
 // statStripes is the number of line stripes of the statistic cells.
 const statStripes = 64
 
-// Per-line durability state bits.
+// pendStripes is the number of line stripes of the counters of lines newly
+// staged in the current generation. Few, so an empty fence reads few.
+const pendStripes = 8
+
+// Per-line durability state: three flag bits, and above them (from bit
+// genShift) the generation the line's write-back was issued in.
 const (
-	// stDirty: stored since last made durable; content only in the live
-	// image.
-	stDirty = uint32(1) << iota
-	// stStaged: a flush snapshotted the line into the staging image; the
-	// snapshot awaits a fence.
+	// stDirty: stored since its last write-back was issued; the store is
+	// only in the live image.
+	stDirty = uint64(1) << iota
+	// stStaged: a write-back was issued in the line's generation. If that
+	// generation is fenced it is durable; the durable image takes it when
+	// the line is next stored, flushed or crashed. Its content is the live
+	// line, or the staging image if the line is also dirty.
 	stStaged
-	// stJournaled: the line has an entry in a journal buffer awaiting the
-	// next fence. Invariant: stStaged implies stJournaled.
-	stJournaled
+	// stBusy: a goroutine is copying the line between images; others yield.
+	stBusy
+
+	genShift = 3
 )
 
 // CrashMode selects how un-persisted lines behave across a simulated crash.
@@ -200,15 +213,11 @@ func WithAttrib(a *obs.Attrib) Option {
 	}
 }
 
-// journalStripe holds one shard of the flushed-line journal: the lines
-// staged since the last fence whose line number maps to this stripe. The
-// two buffers alternate so Fence can drain one while flushes append to the
-// other without reallocating.
-type journalStripe struct {
-	mu    sync.Mutex
-	lines []int64
-	spare []int64
-	_     [64 - 8]byte // keep stripes off each other's cache lines
+// pendCell counts the lines of one line stripe newly staged in the current
+// generation: the lines the next fence makes durable. One cache line.
+type pendCell struct {
+	n atomic.Int64
+	_ [56]byte
 }
 
 // statCell holds the access counters of one line stripe and one cause.
@@ -242,21 +251,19 @@ type Device struct {
 	nLines  int64
 	live    []byte // what loads/stores observe
 	durable []byte // what survives a crash
-	staging []byte // flushed snapshots awaiting a fence, indexed by line
+	staging []byte // write-backs of lines stored again after their flush
 
-	// state holds the per-line durability state machine (stDirty,
-	// stStaged, stJournaled).
-	state []atomic.Uint32
+	// state holds each line's durability state word (stDirty, stStaged,
+	// stBusy and the write-back's generation).
+	state []atomic.Uint64
 
-	stripes [stripeCount]journalStripe
+	// gen is the fence generation: write-backs issued in an older one are
+	// durable. Each fence adds one.
+	gen atomic.Uint64
 
-	// occupied has bit i set while stripe i may hold journaled lines.
-	// flushLine sets a stripe's bit under the stripe lock when it journals
-	// a line; fence swaps the mask to zero and drains only the set stripes,
-	// so an empty fence takes no stripe lock. A bit may outlive its lines
-	// (a fence that drained the stripe after the bit was re-set), which
-	// costs the next fence one empty visit and nothing else.
-	occupied atomic.Uint64
+	// pending counts the lines newly staged in generation gen, by line
+	// stripe; a fence moves the sum into LinesFenced.
+	pending [pendStripes]pendCell
 
 	readLatency  time.Duration
 	writeLatency time.Duration
@@ -281,8 +288,7 @@ type Device struct {
 	chaosDenom int
 	chaosState atomic.Uint64
 
-	// fenceMu serializes Fence (and Crash) so each fence commits a
-	// consistent snapshot set.
+	// fenceMu serializes Fence, Crash, Snapshot and Restore.
 	fenceMu sync.Mutex
 
 	// Fence-mark tracing (see TraceFences). Guarded by fenceMu.
@@ -311,7 +317,7 @@ func New(size int64, opts ...Option) *Device {
 		live:    make([]byte, size),
 		durable: make([]byte, size),
 		staging: make([]byte, size),
-		state:   make([]atomic.Uint32, size/LineSize),
+		state:   make([]atomic.Uint64, size/LineSize),
 	}
 	for _, o := range opts {
 		o(d)
@@ -330,10 +336,6 @@ func (d *Device) check(off, n int64) {
 }
 
 func lineOf(off int64) int64 { return off / LineSize }
-
-func (d *Device) stripeFor(line int64) *journalStripe {
-	return &d.stripes[line%stripeCount]
-}
 
 // cellFor picks the statistics cell for an access of cause c starting at
 // the given line. Disjoint working sets (per-core pools) land on different
@@ -445,6 +447,7 @@ func (d *Device) writeAt(p []byte, off int64, c obs.Cause) {
 	}
 	n := int64(len(p))
 	d.check(off, n)
+	d.prepare(off, n)
 	copy(d.live[off:off+n], p)
 	d.markDirty(off, n)
 	lines := linesSpanned(off, n)
@@ -470,6 +473,7 @@ func (d *Device) zero(off, n int64, c obs.Cause) {
 		t0 = time.Now()
 	}
 	d.check(off, n)
+	d.prepare(off, n)
 	clear(d.live[off : off+n])
 	d.markDirty(off, n)
 	lines := linesSpanned(off, n)
@@ -483,9 +487,56 @@ func (d *Device) zero(off, n int64, c obs.Cause) {
 	}
 }
 
-// markDirty transitions the spanned lines to dirty with a lock-free CAS per
-// line. With chaos eviction enabled, a line may instead be written back to
-// the persistence domain immediately.
+// prepare runs before a store copies into the live image, and keeps the
+// write-back of each spanned line that reads its content from there: a
+// line staged and clean. If the write-back's generation is fenced, the
+// durable image takes the live line and the line becomes clean; if not,
+// staging takes the live line and the line becomes dirty, so the write-back
+// keeps the bytes it was issued with. Any other line is left as it is.
+func (d *Device) prepare(off, n int64) {
+	first, last := lineOf(off), lineOf(off+n-1)
+	for l := first; l <= last; l++ {
+		if d.state[l].Load()&(stStaged|stDirty) != stStaged {
+			continue
+		}
+		s := d.acquire(l)
+		if s&(stStaged|stDirty) != stStaged {
+			d.state[l].Store(s)
+			continue
+		}
+		lo, hi := l*LineSize, (l+1)*LineSize
+		if s>>genShift < d.gen.Load() {
+			copy(d.durable[lo:hi], d.live[lo:hi])
+			d.state[l].Store(0)
+		} else {
+			copy(d.staging[lo:hi], d.live[lo:hi])
+			d.state[l].Store(s | stDirty)
+		}
+	}
+}
+
+// acquire sets line l's busy bit, yielding while another goroutine holds
+// it, and returns the line's state word without the bit. Until the caller
+// stores the line's next state word, no other goroutine changes it.
+func (d *Device) acquire(l int64) uint64 {
+	st := &d.state[l]
+	for {
+		s := st.Load()
+		if s&stBusy != 0 {
+			runtime.Gosched()
+			continue
+		}
+		if st.CompareAndSwap(s, s|stBusy) {
+			return s
+		}
+	}
+}
+
+// markDirty marks the spanned lines dirty with a lock-free CAS per line.
+// A line that a concurrent flush of other bytes staged after prepare stays
+// staged and clean: the store rides with that write-back. With chaos
+// eviction enabled, a line may instead be written back to the persistence
+// domain immediately.
 func (d *Device) markDirty(off, n int64) {
 	first, last := lineOf(off), lineOf(off+n-1)
 	for l := first; l <= last; l++ {
@@ -496,7 +547,14 @@ func (d *Device) markDirty(off, n int64) {
 		st := &d.state[l]
 		for {
 			s := st.Load()
-			if s&stDirty != 0 || st.CompareAndSwap(s, s|stDirty) {
+			if s&(stDirty|stStaged) != 0 {
+				break
+			}
+			if s&stBusy != 0 {
+				runtime.Gosched()
+				continue
+			}
+			if st.CompareAndSwap(s, s|stDirty) {
 				break
 			}
 		}
@@ -505,20 +563,16 @@ func (d *Device) markDirty(off, n int64) {
 
 // evictLine models a spontaneous cache eviction: the line, including the
 // store that triggered the roll, reaches the persistence domain immediately
-// (ADR), no fence required. Any staged snapshot is dropped; a journal entry
-// left behind is skipped by the next fence.
+// (ADR), no fence required, and any write-back of it is superseded. A
+// write-back issued in the current generation no longer counts toward the
+// next fence.
 func (d *Device) evictLine(l int64) {
-	sp := d.stripeFor(l)
-	sp.mu.Lock()
+	s := d.acquire(l)
 	copy(d.durable[l*LineSize:(l+1)*LineSize], d.live[l*LineSize:(l+1)*LineSize])
-	st := &d.state[l]
-	for {
-		s := st.Load()
-		if st.CompareAndSwap(s, s&^(stDirty|stStaged)) {
-			break
-		}
+	if s&stStaged != 0 && s>>genShift == d.gen.Load() {
+		d.pending[l%pendStripes].n.Add(-1)
 	}
-	sp.mu.Unlock()
+	d.state[l].Store(0)
 }
 
 // chaosRoll advances a xorshift PRNG and reports a 1/denom hit. The state
@@ -567,6 +621,7 @@ func (d *Device) store64(off int64, v uint64, c obs.Cause) {
 		t0 = time.Now()
 	}
 	d.check(off, 8)
+	d.prepare(off, 8)
 	b := d.live[off : off+8]
 	b[0] = byte(v)
 	b[1] = byte(v >> 8)
@@ -620,6 +675,7 @@ func (d *Device) store32(off int64, v uint32, c obs.Cause) {
 		t0 = time.Now()
 	}
 	d.check(off, 4)
+	d.prepare(off, 4)
 	b := d.live[off : off+4]
 	b[0] = byte(v)
 	b[1] = byte(v >> 8)
@@ -668,6 +724,7 @@ func (d *Device) writeFields(fields []FieldWrite, flushes []Range, c obs.Cause) 
 			continue
 		}
 		d.check(f.Off, n)
+		d.prepare(f.Off, n)
 		copy(d.live[f.Off:f.Off+n], f.Data)
 		d.markDirty(f.Off, n)
 		ln := linesSpanned(f.Off, n)
@@ -697,11 +754,11 @@ func (d *Device) writeFields(fields []FieldWrite, flushes []Range, c obs.Cause) 
 	}
 }
 
-// Flush issues a write-back for every line in [off, off+n). Each flushed
-// line's current content is snapshotted; a subsequent Fence makes the
-// snapshots durable. Flushing a clean line is a no-op (as on hardware) and
-// takes no lock; the elision pass counts every such skip, so each line a
-// Flush visits lands in exactly one of Flushes or FlushesElided.
+// Flush issues a write-back for every dirty line in [off, off+n); a
+// subsequent Fence makes the write-backs durable. Flushing a clean line is
+// a no-op (as on hardware); the elision pass counts every such skip, so
+// each line a Flush visits lands in exactly one of Flushes or
+// FlushesElided.
 func (d *Device) Flush(off, n int64) { d.flush(off, n, obs.CauseOther) }
 
 func (d *Device) flush(off, n int64, c obs.Cause) {
@@ -719,8 +776,7 @@ func (d *Device) flush(off, n int64, c obs.Cause) {
 	first, last := lineOf(off), lineOf(off+n-1)
 	for l := first; l <= last; l++ {
 		if d.state[l].Load()&stDirty == 0 {
-			// Clean since the last fence (durable, or staged with the same
-			// content a second write-back would snapshot): elide.
+			// Clean since its last write-back was issued: elide.
 			elided++
 			continue
 		}
@@ -741,52 +797,48 @@ func (d *Device) flush(off, n int64, c obs.Cause) {
 	}
 }
 
-// flushLine snapshots one dirty line into the staging image and journals it
-// for the next fence. The stripe lock excludes a concurrent fence commit or
-// chaos eviction of the same line; stores stay lock-free, so the state CAS
-// can race with a concurrent markDirty — on CAS failure the snapshot is
-// retaken so a dirty marking is only ever cleared by a snapshot that
-// includes its bytes. The write-back is counted under cause c.
+// flushLine issues a write-back of one dirty line in the current
+// generation, counted under cause c. A dirty line holds either no
+// write-back, a fenced one still in staging (the durable image takes it
+// first), or one of the current generation, which the new write-back
+// supersedes without being counted again toward the next fence.
 func (d *Device) flushLine(l int64, c obs.Cause) bool {
-	sp := d.stripeFor(l)
-	sp.mu.Lock()
 	st := &d.state[l]
 	for {
 		s := st.Load()
 		if s&stDirty == 0 {
-			sp.mu.Unlock()
 			return false
 		}
-		copy(d.staging[l*LineSize:(l+1)*LineSize], d.live[l*LineSize:(l+1)*LineSize])
-		if st.CompareAndSwap(s, s&^stDirty|stStaged|stJournaled) {
-			if s&stJournaled == 0 {
-				sp.lines = append(sp.lines, l)
-				d.markOccupied(l % stripeCount)
-			}
-			break
+		if s&stBusy != 0 {
+			runtime.Gosched()
+			continue
 		}
+		g := d.gen.Load()
+		switch {
+		case s&stStaged != 0 && s>>genShift >= g:
+			if !st.CompareAndSwap(s, s&^stDirty) {
+				continue
+			}
+		case s&stStaged != 0:
+			if !st.CompareAndSwap(s, s|stBusy) {
+				continue
+			}
+			copy(d.durable[l*LineSize:(l+1)*LineSize], d.staging[l*LineSize:(l+1)*LineSize])
+			st.Store(g<<genShift | stStaged)
+			d.pending[l%pendStripes].n.Add(1)
+		default:
+			if !st.CompareAndSwap(s, g<<genShift|stStaged) {
+				continue
+			}
+			d.pending[l%pendStripes].n.Add(1)
+		}
+		break
 	}
 	d.cellFor(l, c).flushes.Add(1)
 	if d.failAfter.Load() > 0 && d.failAfter.Add(-1) == 0 {
-		sp.mu.Unlock()
 		panic(ErrInjectedCrash)
 	}
-	sp.mu.Unlock()
 	return true
-}
-
-// markOccupied sets stripe i's bit in the occupancy mask. The caller holds
-// the stripe's lock, so a fence that swaps the mask before this store
-// drains the stripe after the caller's journal append, and one that swaps
-// it after sees the bit.
-func (d *Device) markOccupied(i int64) {
-	bit := uint64(1) << i
-	for {
-		m := d.occupied.Load()
-		if m&bit != 0 || d.occupied.CompareAndSwap(m, m|bit) {
-			return
-		}
-	}
 }
 
 // Persist is Flush followed by Fence: the range is durable on return.
@@ -815,12 +867,10 @@ func (d *Device) persistRange(c obs.Cause, ranges ...Range) {
 	d.fence(c)
 }
 
-// Fence commits every staged line snapshot to the durable image. It models
-// SFENCE on an ADR platform: previously issued write-backs are now in the
-// persistence domain. Only the journal stripes that hold lines flushed
-// since the last fence are visited, so the cost is proportional to those
-// lines, not to the device size or the stripe count: a fence with nothing
-// flushed takes no stripe lock.
+// Fence makes every write-back issued before it durable. It models SFENCE
+// on an ADR platform: previously issued write-backs are now in the
+// persistence domain. A fence bumps the generation and does no per-line
+// work, so its cost is independent of how many lines were flushed.
 func (d *Device) Fence() { d.fence(obs.CauseOther) }
 
 func (d *Device) fence(c obs.Cause) {
@@ -841,28 +891,16 @@ func (d *Device) fence(c obs.Cause) {
 			spin(time.Duration(stall))
 		}
 	}
-	var committed int64
-	for mask := d.occupied.Swap(0); mask != 0; mask &= mask - 1 {
-		sp := &d.stripes[bits.TrailingZeros64(mask)]
-		sp.mu.Lock()
-		batch := sp.lines
-		sp.lines, sp.spare = sp.spare[:0], batch
-		for _, l := range batch {
-			st := &d.state[l]
-			for {
-				s := st.Load()
-				if st.CompareAndSwap(s, s&^(stStaged|stJournaled)) {
-					if s&stStaged != 0 {
-						copy(d.durable[l*LineSize:(l+1)*LineSize], d.staging[l*LineSize:(l+1)*LineSize])
-						committed++
-					}
-					break
-				}
-			}
+	var staged int64
+	for i := range d.pending {
+		if d.pending[i].n.Load() != 0 {
+			staged += d.pending[i].n.Swap(0)
 		}
-		sp.mu.Unlock()
 	}
-	d.cells[0][c].linesFenced.Add(committed)
+	if staged != 0 {
+		d.cells[0][c].linesFenced.Add(staged)
+	}
+	d.gen.Add(1)
 	if on {
 		// Includes the wait for fenceMu: contending fences stall each other,
 		// and that serialization is exactly what the fence-stall total (the
@@ -879,46 +917,53 @@ func (d *Device) Crash(mode CrashMode, seed int64) {
 	d.fenceMu.Lock()
 	defer d.fenceMu.Unlock()
 	rng := rand.New(rand.NewSource(seed))
+	g := d.gen.Load()
 	for l := int64(0); l < d.nLines; l++ {
 		s := d.state[l].Load()
-		if s&(stDirty|stStaged) != 0 {
-			lo, hi := l*LineSize, (l+1)*LineSize
-			switch mode {
-			case CrashStrict:
-				// Neither dirty nor merely-staged lines survive.
-			case CrashAll:
-				// A staged snapshot models an issued write-back: it is what
-				// the failure-path cache flush finds in flight. A line dirty
-				// on top of a stale snapshot keeps the snapshot (the second
-				// store was never written back).
-				if s&stStaged != 0 {
-					copy(d.durable[lo:hi], d.staging[lo:hi])
-				} else {
-					copy(d.durable[lo:hi], d.live[lo:hi])
-				}
-			case CrashRandom:
-				// Each non-durable image rolls independently, mirroring the
-				// eviction lottery of real caches: a dirty line may be
-				// written back, and an issued-but-unfenced write-back may
-				// have landed.
-				if s&stDirty != 0 && rng.Intn(2) == 0 {
-					copy(d.durable[lo:hi], d.live[lo:hi])
-				}
-				if s&stStaged != 0 && rng.Intn(2) == 0 {
-					copy(d.durable[lo:hi], d.staging[lo:hi])
-				}
+		if s == 0 {
+			continue
+		}
+		lo, hi := l*LineSize, (l+1)*LineSize
+		// The write-back's content: staging once the line was stored
+		// again after its flush, else the live line.
+		wb := d.live[lo:hi]
+		if s&stDirty != 0 {
+			wb = d.staging[lo:hi]
+		}
+		if s&stStaged != 0 && s>>genShift < g {
+			// A fenced write-back the durable image has not taken yet.
+			copy(d.durable[lo:hi], wb)
+			s &= stDirty
+		}
+		switch mode {
+		case CrashStrict:
+			// Neither dirty nor merely-staged lines survive.
+		case CrashAll:
+			// A staged write-back is what the failure-path cache flush
+			// finds in flight. A line dirty on top of it keeps the
+			// write-back (the second store was never written back).
+			if s&stStaged != 0 {
+				copy(d.durable[lo:hi], wb)
+			} else if s&stDirty != 0 {
+				copy(d.durable[lo:hi], d.live[lo:hi])
+			}
+		case CrashRandom:
+			// Each non-durable image rolls independently, mirroring the
+			// eviction lottery of real caches: a dirty line may be
+			// written back, and an issued-but-unfenced write-back may
+			// have landed.
+			if s&stDirty != 0 && rng.Intn(2) == 0 {
+				copy(d.durable[lo:hi], d.live[lo:hi])
+			}
+			if s&stStaged != 0 && rng.Intn(2) == 0 {
+				copy(d.durable[lo:hi], wb)
 			}
 		}
-		if s != 0 {
-			d.state[l].Store(0)
-		}
+		d.state[l].Store(0)
 	}
-	for i := range d.stripes {
-		sp := &d.stripes[i]
-		sp.lines = sp.lines[:0]
-		sp.spare = sp.spare[:0]
+	for i := range d.pending {
+		d.pending[i].n.Store(0)
 	}
-	d.occupied.Store(0)
 	copy(d.live, d.durable)
 	d.failAfter.Store(0)
 }
@@ -1025,12 +1070,14 @@ func (d *Device) ResetStats() {
 	}
 }
 
-// DirtyLines reports how many lines are dirty or staged (not yet durable).
-// Intended for tests and diagnostics.
+// DirtyLines reports how many lines are dirty or staged in the current
+// generation (not yet durable). Intended for tests and diagnostics.
 func (d *Device) DirtyLines() int {
 	var n int
+	g := d.gen.Load()
 	for l := int64(0); l < d.nLines; l++ {
-		if d.state[l].Load()&(stDirty|stStaged) != 0 {
+		s := d.state[l].Load()
+		if s&stDirty != 0 || s&stStaged != 0 && s>>genShift >= g {
 			n++
 		}
 	}

@@ -112,79 +112,87 @@ func TestWriteAfterFlushNeedsSecondFlush(t *testing.T) {
 	}
 }
 
-// TestEmptyFenceTakesNoStripeLock holds every journal stripe's lock and
-// fences with nothing flushed: the fence must not wait on any stripe.
-func TestEmptyFenceTakesNoStripeLock(t *testing.T) {
-	d := New(4096)
-	d.WriteAt([]byte{1}, 0)
-	d.Persist(0, 1) // leaves drained, empty journals behind
-	for i := range d.stripes {
-		d.stripes[i].mu.Lock()
-	}
-	done := make(chan struct{})
-	go func() {
-		d.Fence()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("a fence with no flushed lines waited on a stripe lock")
-	}
-	for i := range d.stripes {
-		d.stripes[i].mu.Unlock()
-	}
-	if st := d.Stats(); st.Fences != 2 || st.LinesFenced != 1 {
-		t.Fatalf("stats = %+v, want 2 fences committing 1 line", st)
-	}
-}
-
-// TestFenceDrainsOnlyOccupiedStripes checks the occupancy mask: a flush
-// sets its stripe's bit, a fence clears the whole mask and commits the
-// lines of every set stripe.
-func TestFenceDrainsOnlyOccupiedStripes(t *testing.T) {
-	d := New(1 << 16)
-	lines := []int64{3, 3 + stripeCount, 17, 63}
-	for _, l := range lines {
-		d.WriteAt([]byte{byte(l)}, l*LineSize)
-		d.Flush(l*LineSize, 1)
-	}
-	want := uint64(1)<<3 | uint64(1)<<17 | uint64(1)<<63
-	if got := d.occupied.Load(); got != want {
-		t.Fatalf("occupied = %#x, want %#x", got, want)
-	}
-	d.Fence()
-	if got := d.occupied.Load(); got != 0 {
-		t.Fatalf("occupied = %#x after fence, want 0", got)
-	}
-	if st := d.Stats(); st.LinesFenced != int64(len(lines)) {
-		t.Fatalf("LinesFenced = %d, want %d", st.LinesFenced, len(lines))
-	}
-	d.Crash(CrashStrict, 1)
-	for _, l := range lines {
-		var b [1]byte
-		d.ReadAt(b[:], l*LineSize)
-		if b[0] != byte(l) {
-			t.Fatalf("line %d lost across strict crash after fence", l)
+// TestStoreAfterFencedWriteBackKeepsFencedBytes stores a line again after
+// its write-back was fenced: a strict crash must yield the fenced bytes,
+// whether or not the second store was flushed (without a fence) too.
+func TestStoreAfterFencedWriteBackKeepsFencedBytes(t *testing.T) {
+	for _, reflush := range []bool{false, true} {
+		d := New(4096)
+		d.WriteAt([]byte{1, 2}, 3*LineSize)
+		d.Persist(3*LineSize, 2)
+		d.WriteAt([]byte{7}, 3*LineSize+1)
+		if reflush {
+			d.Flush(3*LineSize, 2)
+		}
+		d.Crash(CrashStrict, 1)
+		var b [2]byte
+		d.ReadAt(b[:], 3*LineSize)
+		if b != [2]byte{1, 2} {
+			t.Fatalf("reflush=%v: got %v after strict crash, want the fenced [1 2]", reflush, b)
 		}
 	}
 }
 
+// TestStagedStoredAgainCrashAllYieldsFlushedBytes flushes a line, stores it
+// again without a fence and crashes with CrashAll: the issued write-back,
+// not the later store, is what the failure-path flush finds.
+func TestStagedStoredAgainCrashAllYieldsFlushedBytes(t *testing.T) {
+	d := New(4096)
+	d.WriteAt([]byte{1}, 0)
+	d.Flush(0, 1)
+	d.WriteAt([]byte{2}, 1)
+	d.Crash(CrashAll, 1)
+	var b [2]byte
+	d.ReadAt(b[:], 0)
+	if b != [2]byte{1, 0} {
+		t.Fatalf("got %v after CrashAll, want the flushed [1 0]", b)
+	}
+}
+
+// TestFenceDoesNoPerLineWork stages many lines and fences: the fence must
+// allocate nothing and leave every line's state word as it was, so its
+// work does not grow with the number of lines staged.
+func TestFenceDoesNoPerLineWork(t *testing.T) {
+	d := New(1 << 20)
+	for l := int64(0); l < d.nLines; l += 3 {
+		d.WriteAt([]byte{byte(l)}, l*LineSize)
+	}
+	d.Flush(0, d.Size())
+	before := make([]uint64, d.nLines)
+	for l := range before {
+		before[l] = d.state[l].Load()
+	}
+	if allocs := testing.AllocsPerRun(10, d.Fence); allocs != 0 {
+		t.Fatalf("Fence allocated %v times per call", allocs)
+	}
+	for l := range before {
+		if got := d.state[l].Load(); got != before[l] {
+			t.Fatalf("line %d: fence changed state %#x -> %#x", l, before[l], got)
+		}
+	}
+	if st := d.Stats(); st.LinesFenced != (d.nLines+2)/3 || st.Fences != 11 {
+		t.Fatalf("stats = %+v, want %d lines fenced by 11 fences", st, (d.nLines+2)/3)
+	}
+	if dl := d.DirtyLines(); dl != 0 {
+		t.Fatalf("DirtyLines = %d after fence, want 0", dl)
+	}
+}
+
 // TestFenceAfterRestoreCommitsJournaledLines restores a snapshot taken
-// with a flushed, unfenced line: the next fence must still commit it.
+// with a flushed, unfenced line: the next fence must still make it durable.
 func TestFenceAfterRestoreCommitsJournaledLines(t *testing.T) {
 	d := New(4096)
 	d.WriteAt([]byte{9}, 5*LineSize)
 	d.Flush(5*LineSize, 1)
 	snap := d.Snapshot()
-	d.Fence() // drains the journal and clears the mask
+	d.Fence() // makes the write-back durable on the original timeline
 	d.Restore(snap)
 	d.Fence()
 	d.Crash(CrashStrict, 1)
 	var b [1]byte
 	d.ReadAt(b[:], 5*LineSize)
 	if b[0] != 9 {
-		t.Fatal("a line journaled in the snapshot was not committed by a fence after Restore")
+		t.Fatal("a line staged in the snapshot was not made durable by a fence after Restore")
 	}
 }
 

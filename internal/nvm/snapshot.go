@@ -8,9 +8,9 @@ import (
 )
 
 // Snapshot is a deep copy of a device's full simulation state: the three
-// byte images, the per-line durability state words, the flushed-line
-// journals, the per-cause access counters, the chaos-eviction PRNG, and
-// the latency configuration. It is the restart mechanism of the
+// byte images, the per-line durability state words, the fence generation
+// and its newly staged line counts, the per-cause access counters, the
+// chaos-eviction PRNG, and the latency configuration. It is the restart mechanism of the
 // crash-consistency model checker: capture one snapshot after the
 // (expensive) workload prefix, then Restore before each explored crash
 // point instead of re-running the prefix, or NewDevice a replica per
@@ -23,9 +23,10 @@ type Snapshot struct {
 	live    []byte
 	durable []byte
 	staging []byte
-	state   []uint32
+	state   []uint64
 
-	journals [stripeCount][]int64
+	gen     uint64
+	pending [pendStripes]int64
 
 	cells [statStripes][obs.NumCauses]Stats
 
@@ -51,7 +52,8 @@ func (d *Device) Snapshot() *Snapshot {
 		live:         append([]byte(nil), d.live...),
 		durable:      append([]byte(nil), d.durable...),
 		staging:      append([]byte(nil), d.staging...),
-		state:        make([]uint32, len(d.state)),
+		state:        make([]uint64, len(d.state)),
+		gen:          d.gen.Load(),
 		chaosDenom:   d.chaosDenom,
 		chaosState:   d.chaosState.Load(),
 		failAfter:    d.failAfter.Load(),
@@ -62,11 +64,8 @@ func (d *Device) Snapshot() *Snapshot {
 	for l := range d.state {
 		s.state[l] = d.state[l].Load()
 	}
-	for i := range d.stripes {
-		sp := &d.stripes[i]
-		sp.mu.Lock()
-		s.journals[i] = append([]int64(nil), sp.lines...)
-		sp.mu.Unlock()
+	for i := range d.pending {
+		s.pending[i] = d.pending[i].n.Load()
 	}
 	for i := range d.cells {
 		for c := range d.cells[i] {
@@ -77,7 +76,7 @@ func (d *Device) Snapshot() *Snapshot {
 }
 
 // Restore rewinds the device to a previously captured snapshot, including
-// images, durability state, journals, counters, chaos PRNG, and fail-point
+// images, durability state, generation, counters, chaos PRNG, and fail-point
 // counter. Fence-mark traces are cleared. An attached obs.Attrib reads its
 // per-cause counts from the device, so they rewind too. The snapshot must
 // come from a device of the same size. The caller must ensure no accesses
@@ -94,18 +93,10 @@ func (d *Device) Restore(s *Snapshot) {
 	for l := range d.state {
 		d.state[l].Store(s.state[l])
 	}
-	var occupied uint64
-	for i := range d.stripes {
-		sp := &d.stripes[i]
-		sp.mu.Lock()
-		sp.lines = append(sp.lines[:0], s.journals[i]...)
-		sp.spare = sp.spare[:0]
-		sp.mu.Unlock()
-		if len(sp.lines) > 0 {
-			occupied |= 1 << i
-		}
+	d.gen.Store(s.gen)
+	for i := range d.pending {
+		d.pending[i].n.Store(s.pending[i])
 	}
-	d.occupied.Store(occupied)
 	for i := range d.cells {
 		for c := range d.cells[i] {
 			d.cells[i][c].store(s.cells[i][c])
