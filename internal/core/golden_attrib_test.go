@@ -95,7 +95,7 @@ func attribGoldenCases() []attribGoldenCase {
 				obs.CauseWALAppend:    {LineReads: 0, LineWrites: 2652, BytesRead: 0, BytesWritten: 169273, Flushes: 2652, Fences: 6},
 				obs.CauseMinorGC:      {LineReads: 0, LineWrites: 684, BytesRead: 0, BytesWritten: 4560},
 				obs.CauseMajorGC:      {LineReads: 436, LineWrites: 2616, BytesRead: 27904, BytesWritten: 17440, Flushes: 436},
-				obs.CauseAlloc:        {LineReads: 316, LineWrites: 808, BytesRead: 2528, BytesWritten: 26752, Flushes: 138},
+				obs.CauseAlloc:        {LineReads: 316, LineWrites: 784, BytesRead: 2528, BytesWritten: 26560, Flushes: 130},
 			},
 		},
 	}

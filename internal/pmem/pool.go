@@ -107,6 +107,11 @@ type Pool struct {
 	// moves belong to its own future checkpoint.
 	stagedHead, stagedTail int64
 
+	// ctl mirrors the control line's two parity slots (bump, head, tail),
+	// so Checkpoint can skip a slot that already holds its values. A slot
+	// not yet written or read since the pool was opened holds -1s.
+	ctl [2][3]int64
+
 	// Ring-flush bookkeeping: appends since the last flush.
 	flushFrom int64
 }
@@ -121,6 +126,7 @@ func RowPool(dev *nvm.Device, l Layout, c int) *Pool {
 		slotSize: l.RowSize,
 		capSlots: l.RowsPerCore,
 		ringCap:  l.RingCap,
+		ctl:      unknownCtl,
 	}
 }
 
@@ -134,8 +140,13 @@ func ValuePool(dev *nvm.Device, l Layout, k, c int) *Pool {
 		slotSize: l.valClasses[k],
 		capSlots: l.ValuesPerCore,
 		ringCap:  l.RingCap,
+		ctl:      unknownCtl,
 	}
 }
+
+// unknownCtl marks both parity slots as unknown: offsets are never
+// negative, so the first checkpoint of each parity writes it.
+var unknownCtl = [2][3]int64{{-1, -1, -1}, {-1, -1, -1}}
 
 // SlotSize returns the fixed slot size of this pool.
 func (p *Pool) SlotSize() int64 { return p.slotSize }
@@ -224,19 +235,25 @@ func (p *Pool) FlushRing() {
 }
 
 // Checkpoint writes the DRAM bump/head/tail into the parity slots for the
-// given epoch and flushes the ring and control line. The caller issues the
-// fence (one fence covers all pools), then calls Checkpointed. Under a
+// given epoch and flushes the ring and control line. A parity slot that
+// already holds those values (an epoch that allocated and freed nothing in
+// this pool since the same parity's last checkpoint) is durable as it is,
+// so it is neither stored nor written back. The caller issues the fence
+// (one fence covers all pools), then calls Checkpointed. Under a
 // pipelined commit the committer must call Checkpoint before the owner core
 // enters the next epoch's init phase for this pool (the engine's per-pool
 // staging token), so the values read here are still end-of-epoch values.
 func (p *Pool) Checkpoint(epoch uint64) {
 	p.FlushRing()
 	par := int64(epoch % 2)
-	p.dev.Store64(p.ctlOff+ctlBump0+par*8, uint64(p.bump))
-	p.dev.Store64(p.ctlOff+ctlHead0+par*8, uint64(p.head))
-	p.dev.Store64(p.ctlOff+ctlTail0+par*8, uint64(p.tail))
-	p.dev.Flush(p.ctlOff, line)
 	p.stagedHead, p.stagedTail = p.head, p.tail
+	if vals := [3]int64{p.bump, p.head, p.tail}; p.ctl[par] != vals {
+		p.dev.Store64(p.ctlOff+ctlBump0+par*8, uint64(p.bump))
+		p.dev.Store64(p.ctlOff+ctlHead0+par*8, uint64(p.head))
+		p.dev.Store64(p.ctlOff+ctlTail0+par*8, uint64(p.tail))
+		p.dev.Flush(p.ctlOff, line)
+		p.ctl[par] = vals
+	}
 }
 
 // Checkpointed commits the checkpoint barriers after the caller's fence
@@ -284,6 +301,8 @@ func (p *Pool) Recover(ckptEpoch uint64, adoptGC bool) []int64 {
 	p.head = int64(p.dev.Load64(p.ctlOff + ctlHead0 + par*8))
 	p.tail = int64(p.dev.Load64(p.ctlOff + ctlTail0 + par*8))
 	ckptTail := p.tail
+	p.ctl = unknownCtl
+	p.ctl[par] = [3]int64{p.bump, p.head, ckptTail}
 	var gcFrees []int64
 	if adoptGC {
 		for pos := ckptTail; pos-ckptTail < p.ringCap; pos++ {

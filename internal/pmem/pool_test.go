@@ -191,6 +191,61 @@ func TestCrashRevertsUncheckpointedAllocations(t *testing.T) {
 	}
 }
 
+// TestCheckpointSkipsUnchangedParitySlot checks that a checkpoint whose
+// parity slot already holds the pool's bump/head/tail stores and writes
+// back nothing, that recovery still reads the right values, and that after
+// Recover only the parity it read is known: the other one is written by its
+// next checkpoint even when nothing changed.
+func TestCheckpointSkipsUnchangedParitySlot(t *testing.T) {
+	l, dev := testLayout(t)
+	rec := NewEpochRecord(dev, l)
+	p := RowPool(dev, l, 0)
+	ckpt := func(p *Pool, epoch uint64) nvm.Stats {
+		t.Helper()
+		before := dev.Stats()
+		p.Checkpoint(epoch)
+		st := dev.Stats().Sub(before)
+		dev.Fence()
+		rec.Store(epoch)
+		p.Checkpointed()
+		return st
+	}
+	for i := 0; i < 3; i++ {
+		p.Alloc()
+	}
+	for epoch := uint64(1); epoch <= 2; epoch++ {
+		if st := ckpt(p, epoch); st.Flushes != 1 {
+			t.Fatalf("epoch %d: %d write-backs, want 1 (first checkpoint of its parity)", epoch, st.Flushes)
+		}
+	}
+	if st := ckpt(p, 3); st.Flushes != 0 || st.LineWrites != 0 {
+		t.Fatalf("unchanged epoch 3: %d write-backs, %d line writes, want none", st.Flushes, st.LineWrites)
+	}
+	p.Alloc()
+	if st := ckpt(p, 4); st.Flushes != 1 || st.LineWrites != 3 {
+		t.Fatalf("epoch 4 after an alloc: %d write-backs, %d line writes, want 1 and 3", st.Flushes, st.LineWrites)
+	}
+	if st := ckpt(p, 5); st.Flushes != 1 {
+		t.Fatalf("epoch 5: %d write-backs, want 1 (its slot still holds epoch 3's bump)", st.Flushes)
+	}
+	if st := ckpt(p, 6); st.Flushes != 0 {
+		t.Fatalf("unchanged epoch 6: %d write-backs, want 0", st.Flushes)
+	}
+
+	dev.Crash(nvm.CrashStrict, 1)
+	p2 := RowPool(dev, l, 0)
+	p2.Recover(rec.Load(), true)
+	if p2.Bump() != 4 {
+		t.Fatalf("recovered bump = %d, want 4", p2.Bump())
+	}
+	if st := ckpt(p2, 7); st.Flushes != 1 {
+		t.Fatalf("epoch 7 after recovery: %d write-backs, want 1 (the other parity is unknown)", st.Flushes)
+	}
+	if st := ckpt(p2, 8); st.Flushes != 0 {
+		t.Fatalf("epoch 8 after recovery: %d write-backs, want 0 (Recover read this parity)", st.Flushes)
+	}
+}
+
 func TestCrashPreservesCheckpointedFrees(t *testing.T) {
 	l, dev := testLayout(t)
 	rec := NewEpochRecord(dev, l)
