@@ -6,6 +6,12 @@
 // Usage:
 //
 //	nvrecover -workload smallbank -rows 20000 -crash-depth 2000
+//
+// With the default -crash-depth 0 the fail-point sits halfway through the
+// write-backs of the last committed epoch, which is deep enough that the
+// doomed epoch's input log is durable and short of its checkpoint. A
+// fail-point that does not fire (the doomed epoch wrote back fewer lines)
+// is reported as such, with exit status 1.
 package main
 
 import (
@@ -27,7 +33,7 @@ func main() {
 		rows       = flag.Int("rows", 10_000, "YCSB rows / SmallBank customers")
 		epochTxns  = flag.Int("epoch-txns", 1000, "transactions per epoch")
 		epochs     = flag.Int("epochs", 3, "committed epochs before the crash")
-		crashDepth = flag.Int64("crash-depth", 2000, "flushed lines into the doomed epoch before power failure")
+		crashDepth = flag.Int64("crash-depth", 0, "flushed lines into the doomed epoch before power failure (0: half the last committed epoch's write-backs)")
 		seed       = flag.Int64("seed", 1, "workload RNG seed")
 	)
 	flag.Parse()
@@ -92,15 +98,22 @@ func main() {
 		}
 	}
 	fmt.Printf("running %d committed epochs of %d txns...\n", *epochs, *epochTxns)
+	var epochFlushes int64
 	for e := 0; e < *epochs; e++ {
+		before := dev.Stats().Flushes
 		if _, err := db.RunEpoch(gen()); err != nil {
 			fatal(err)
 		}
+		epochFlushes = dev.Stats().Flushes - before
 	}
 	lastCommitted := db.Epoch()
+	depth := *crashDepth
+	if depth <= 0 {
+		depth = max(1, epochFlushes/2)
+	}
 
 	fmt.Printf("arming fail-point %d flushed lines into epoch %d, then pulling the plug...\n",
-		*crashDepth, lastCommitted+1)
+		depth, lastCommitted+1)
 	crashed := false
 	func() {
 		defer func() {
@@ -111,11 +124,13 @@ func main() {
 				crashed = true
 			}
 		}()
-		dev.SetFailAfter(*crashDepth)
+		dev.SetFailAfter(depth)
 		db.RunEpoch(gen())
 	}()
 	if !crashed {
-		fmt.Println("epoch committed before the fail-point fired; nothing to replay — crashing anyway")
+		fmt.Printf("fail-point did not fire: epoch %d committed with fewer than %d write-backs (the last committed epoch wrote back %d)\n",
+			db.Epoch(), depth, epochFlushes)
+		os.Exit(1)
 	}
 	dev.Crash(nvm.CrashStrict, *seed)
 	fmt.Println("power failed. recovering...")
