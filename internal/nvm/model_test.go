@@ -284,9 +284,7 @@ func TestDeviceMatchesReferenceModel(t *testing.T) {
 				d.Crash(mode, seed)
 				ref.crash(mode, seed)
 			}
-			live := make([]byte, size)
-			copy(live, d.live)
-			if !bytes.Equal(live, ref.live) {
+			if !bytes.Equal(d.live, ref.live) {
 				t.Fatalf("trial %d step %d %s: live images differ", trial, step, op)
 			}
 			if st := d.Stats(); st != ref.st {

@@ -10,10 +10,10 @@ import (
 // Snapshot is a deep copy of a device's full simulation state: the three
 // byte images, the per-line durability state words, the fence generation
 // and its newly staged line counts, the per-cause access counters, the
-// chaos-eviction PRNG, and the latency configuration. It is the restart mechanism of the
-// crash-consistency model checker: capture one snapshot after the
-// (expensive) workload prefix, then Restore before each explored crash
-// point instead of re-running the prefix, or NewDevice a replica per
+// chaos-eviction PRNG, and the latency configuration. It is the restart
+// mechanism of the crash-consistency model checker: capture one snapshot
+// after the (expensive) workload prefix, then Restore before each explored
+// crash point instead of re-running the prefix, or NewDevice a replica per
 // worker so points are explored in parallel.
 //
 // Snapshot and Restore require the same quiescence as Crash: no accesses

@@ -9,8 +9,9 @@ import (
 // disjoint regions — stores, flushes, and fences racing each other and a
 // dedicated fencer goroutine — then quiesces, persists, and crashes. Run
 // under -race it validates the lock-free line-state protocol: dirty marks
-// are CAS transitions, flush snapshots go to the shared staging image, and
-// fences drain the striped journals, all while workers keep storing.
+// and flushes are CAS transitions, stores copy lines between the images
+// under the line's busy bit, and fences bump the generation, all while
+// workers keep storing.
 func TestDeviceStressRace(t *testing.T) {
 	const (
 		workers   = 8
