@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nvcaracal/internal/index"
 	"nvcaracal/internal/nvm"
 	"nvcaracal/internal/pmem"
 )
@@ -426,6 +427,45 @@ func TestContendedRMWChain(t *testing.T) {
 	}
 	mustRun(t, db, batch)
 	wantGet(t, db, 1, want)
+}
+
+// TestEpochBoundaryUnlinksVersionArrays checks that no row keeps a version
+// array past its epoch, so the arrays and their versions become garbage at
+// the boundary instead of staying reachable until the row is next written.
+func TestEpochBoundaryUnlinksVersionArrays(t *testing.T) {
+	db, _ := openTestDB(t, 2)
+	const n = 16
+	var batch []*Txn
+	for i := uint64(0); i < n; i++ {
+		batch = append(batch, mkInsert(i, []byte{'a'}))
+	}
+	mustRun(t, db, batch)
+	for round := 0; round < 3; round++ {
+		batch = batch[:0]
+		for i := uint64(0); i < n; i += uint64(round + 1) {
+			batch = append(batch, mkRMW(i, 'b'), mkRMW(i, 'c'))
+		}
+		mustRun(t, db, batch)
+		linked := 0
+		db.idx.Range(func(_ index.Key, rs *rowState) bool {
+			if rs.va.Load() != nil {
+				linked++
+			}
+			return true
+		})
+		if linked != 0 {
+			t.Fatalf("round %d: %d rows still link a version array after the epoch", round, linked)
+		}
+	}
+	for i := uint64(0); i < n; i++ {
+		want := []byte{'a'}
+		for round := 0; round < 3; round++ {
+			if i%uint64(round+1) == 0 {
+				want = append(want, 'b', 'c')
+			}
+		}
+		wantGet(t, db, i, want)
+	}
 }
 
 func TestLargeValuesUseValuePool(t *testing.T) {

@@ -61,6 +61,13 @@ type DB struct {
 	evictRing [][]*rowState
 	evictBuf  [][]*rowState
 
+	// vaRows holds the rows given a version array this epoch, per owner
+	// core. The epoch boundary unlinks their arrays: a stale array would
+	// otherwise stay reachable from its row until the row is next written,
+	// and every row's last array, with its versions, is heap the Go
+	// collector marks on each cycle.
+	vaRows [][]*rowState
+
 	// deferredIndexDeletes holds rows deleted this epoch, per worker;
 	// removing them from the index is deferred to the epoch boundary so
 	// concurrent readers with smaller serial ids still resolve the row.
@@ -154,6 +161,7 @@ func newDB(dev *nvm.Device, opts Options) *DB {
 		gcPending: make([][]*rowState, c),
 		evictRing: make([][]*rowState, opts.CacheK+2),
 		evictBuf:  make([][]*rowState, c),
+		vaRows:    make([][]*rowState, c),
 
 		deferredIndexDeletes: make([][]index.Key, c),
 
@@ -648,10 +656,18 @@ func (db *DB) finishEpoch(epoch uint64, batch []*Txn, res *EpochResult) {
 	db.met.Coordinator().AddAborted(int64(res.Aborted))
 }
 
-// releaseEpochState resets the transient pools, applies deferred index
-// deletions, and merges the per-worker eviction buffers.
+// releaseEpochState resets the transient pools, unlinks the epoch's
+// version arrays, applies deferred index deletions, and merges the
+// per-worker eviction buffers.
 func (db *DB) releaseEpochState(epoch uint64) {
 	db.arenas.ResetAll()
+	for c, rows := range db.vaRows {
+		for _, rs := range rows {
+			rs.va.Store(nil)
+		}
+		clear(rows)
+		db.vaRows[c] = rows[:0]
+	}
 	for c := range db.scratch {
 		db.scratch[c] = 0
 	}
@@ -823,6 +839,7 @@ func (db *DB) buildVersionArray(epoch uint64, owner int, key index.Key, ops []in
 		va.vals[0].Store(init)
 	}
 	rs.va.Store(va)
+	db.vaRows[owner] = append(db.vaRows[owner], rs)
 }
 
 // placeTransient wraps data as a transient version value. In ModeAllNVMM

@@ -248,8 +248,9 @@ type rowState struct {
 	owner int32 // owner core: routes init-phase work and major GC
 
 	// va is the row's version array for the current epoch, published by
-	// the append step. Stale arrays from prior epochs are detected via
-	// va.epoch (paper §5.1's stale-pointer trick).
+	// the append step and unlinked at the epoch boundary. An array of
+	// another epoch is still detected via va.epoch (paper §5.1's
+	// stale-pointer trick).
 	va atomic.Pointer[versionArray]
 
 	// cached is the row's cached version, nil when evicted or invalidated.
